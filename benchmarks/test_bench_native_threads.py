@@ -47,7 +47,7 @@ def _largest_default_circuit() -> str:
 @pytest.fixture(scope="module")
 def thread_sweep(context):
     """Median-timed compiled sweeps at each worker count, plus results."""
-    if native.load_kernel_mt() is None:
+    if native.load_kernel() is None:
         pytest.skip("native kernel unavailable (REPRO_NO_NATIVE or no cc)")
     circuit = _largest_default_circuit()
     netlist = context.circuit(circuit)

@@ -415,8 +415,7 @@ def check_c_abi(
 
     With no arguments, checks the repo's real contract: *every* exported
     entry point registered in :func:`repro.timing.native.kernel_abi`
-    (the serial ``sta_eval_gates`` and the multithreaded
-    ``sta_eval_gates_mt``) against the prototypes parsed from
+    (the one ``sta_eval_gates_mt``) against the prototypes parsed from
     ``repro/timing/sta_kernel.c``.  ``function`` narrows the check to
     one registry entry; ``argtypes`` / ``restype`` / ``c_source`` let
     tests inject either side to prove mismatch detection without

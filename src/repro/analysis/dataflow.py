@@ -273,15 +273,17 @@ class NativeBoundaryChecker:
         recording the joined fact of every ``self.attr = ...`` store per
         class.  Phase 2 re-summarizes with those facts available (so
         ``_execute_native`` can read what ``__init__`` proved) and
-        collects boundary findings.
+        collects boundary findings.  Nested functions come after their
+        enclosing function, so a closure that is only ever called
+        through a function value is still checked, with the names it
+        closed over.
         """
         for phase in (1, 2):
             self._summaries.clear()
             self._closure_envs.clear()
             self._collect = phase == 2
             for info in self.model.iter_functions():
-                if info.enclosing is None:
-                    self.summary_of(info.qualname)
+                self.summary_of(info.qualname)
         # Findings can be discovered twice when a function is both
         # analyzed standalone and re-summarized via a call chain.
         unique = sorted(set(self.findings), key=lambda f: (f.path, f.line, f.col))
@@ -613,10 +615,13 @@ class _Evaluator:
                 key = f"self.{node.attr}"
                 if key in self.env:
                     return self.env[key]
-                if self.info is not None and self.info.class_qualname:
-                    return self.checker.attr_fact(
-                        self.info.class_qualname, node.attr
-                    )
+                owner = (
+                    self.checker.model.owner_class(self.info)
+                    if self.info is not None
+                    else None
+                )
+                if owner is not None:
+                    return self.checker.attr_fact(owner, node.attr)
                 return UNKNOWN
             if isinstance(base_fact, ArrayFact) and node.attr == "T":
                 return ArrayFact(dtype=base_fact.dtype, contiguous=None)

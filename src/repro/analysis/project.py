@@ -267,6 +267,15 @@ class ProjectModel:
             return target
         return None
 
+    def owner_class(self, info: FunctionInfo) -> Optional[str]:
+        """The class whose ``self`` ``info`` sees, through nested defs."""
+        current: Optional[FunctionInfo] = info
+        while current is not None and current.class_qualname is None:
+            if current.enclosing is None:
+                return None
+            current = self.functions.get(current.enclosing)
+        return current.class_qualname if current is not None else None
+
     def methods_named(self, name: str) -> List[FunctionInfo]:
         """Every method in the project with bare name ``name``.
 

@@ -16,8 +16,8 @@ Two rules come out of the same lattice:
   unknown dims never fire; the rule only reports what numpy itself
   would raise at runtime.
 - **REPRO-SHAPE002** — the native-boundary buffer contract.  For every
-  call whose callee is a loaded kernel entry point
-  (``native.load_kernel()`` / ``load_kernel_mt()``), every pointer
+  call whose callee is the loaded kernel entry point
+  (``native.load_kernel()``), every pointer
   argument must carry a symbolic size that provably dominates the
   extent :func:`repro.analysis.cabi.kernel_buffer_obligations` derives
   from ``sta_kernel.c``'s loop headers and declared annotations.  Like
@@ -122,18 +122,6 @@ class PtrFact:
 
 
 @dataclass(frozen=True)
-class KernelValue:
-    """A loaded native kernel entry point.
-
-    ``kinds`` ⊆ {"serial", "mt"}; joins union the kinds, and a join
-    with an unknown value *keeps* the kernel kinds — conservatively, a
-    value that might be a kernel must still satisfy the obligations.
-    """
-
-    kinds: frozenset
-
-
-@dataclass(frozen=True)
 class OpaqueValue:
     """An unknown value with a stable identity key, so sizes derived
     from the same value (``len(x)`` twice, two listcomps over it) share
@@ -147,14 +135,6 @@ class TupleFact:
     """A tuple literal with known items."""
 
     items: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class JoinedTuple:
-    """A join of tuple values of different arity (``() if serial else
-    (threads,)``); call sites that star-expand it fork per variant."""
-
-    variants: Tuple[TupleFact, ...]
 
 
 @dataclass(frozen=True)
@@ -180,22 +160,15 @@ class _Singleton:
 UNKNOWN = _Singleton("unknown")
 NONE = _Singleton("none")
 SELF = _Singleton("self")
+#: The loaded native kernel entry point.  A join with any other value
+#: *keeps* it — conservatively, a value that might be the kernel must
+#: still satisfy the obligations.
+KERNEL = _Singleton("kernel")
 
 Fact = object
 
-#: Project functions whose return value is a native kernel entry point.
-_KERNEL_LOADERS = {
-    "repro.timing.native.load_kernel": "serial",
-    "repro.timing.native.load_kernel_mt": "mt",
-}
-
-
-def _kernel_kinds(*facts: Fact) -> frozenset:
-    kinds: Set[str] = set()
-    for fact in facts:
-        if isinstance(fact, KernelValue):
-            kinds.update(fact.kinds)
-    return frozenset(kinds)
+#: The project function whose return value is the native kernel.
+_KERNEL_LOADER = "repro.timing.native.load_kernel"
 
 
 @dataclass(frozen=True)
@@ -362,9 +335,8 @@ class ShapeChecker:
             return b
         if b is NONE:
             return a
-        kinds = _kernel_kinds(a, b)
-        if kinds:
-            return KernelValue(kinds)
+        if a is KERNEL or b is KERNEL:
+            return KERNEL
         if isinstance(a, PtrFact) and isinstance(b, PtrFact):
             return PtrFact(self.join(a.array, b.array, key + ("ptr",)))
         if (
@@ -389,15 +361,6 @@ class ShapeChecker:
                 else self.join_poly(a.length, b.length, key + ("len",)),
                 self.join(a.element, b.element, key + ("elem",)),
             )
-        tuple_variants = _tuple_variants(a) + _tuple_variants(b)
-        if tuple_variants and all(
-            isinstance(f, (TupleFact, JoinedTuple)) for f in (a, b)
-        ):
-            unique: List[TupleFact] = []
-            for variant in tuple_variants:
-                if variant not in unique:
-                    unique.append(variant)
-            return JoinedTuple(tuple(unique[:4]))
         return UNKNOWN
 
     def join_poly(self, a: Poly, b: Poly, key: Tuple) -> Poly:
@@ -485,14 +448,6 @@ def _single_atom(poly: Poly) -> Optional[str]:
         if coeff == 1 and len(monomial) == 1:
             return monomial[0]
     return None
-
-
-def _tuple_variants(fact: Fact) -> Tuple[TupleFact, ...]:
-    if isinstance(fact, TupleFact):
-        return (fact,)
-    if isinstance(fact, JoinedTuple):
-        return fact.variants
-    return ()
 
 
 def _nonlocal_names(node: ast.AST) -> Set[str]:
@@ -929,6 +884,11 @@ class _ShapeEvaluator:
             return self.closure_env[name]
         return self.checker.module_scope_fact(self.module, name)
 
+    def _owner_class(self) -> Optional[str]:
+        if self.info is None:
+            return None
+        return self.checker.model.owner_class(self.info)
+
     def _eval_attribute(self, node: ast.Attribute) -> Fact:
         base = node.value
         if isinstance(base, ast.Name):
@@ -939,10 +899,9 @@ class _ShapeEvaluator:
             key = f"self.{node.attr}"
             if key in self.env:
                 return self.env[key]
-            if self.info is not None and self.info.class_qualname:
-                return self.checker.attr_fact(
-                    self.info.class_qualname, node.attr
-                )
+            owner = self._owner_class()
+            if owner is not None:
+                return self.checker.attr_fact(owner, node.attr)
             return UNKNOWN
         if isinstance(base_fact, ShapeFact):
             if node.attr == "size":
@@ -958,14 +917,13 @@ class _ShapeEvaluator:
             return UNKNOWN
         if isinstance(base_fact, OpaqueValue):
             return OpaqueValue(f"{base_fact.key}.{node.attr}")
-        if isinstance(base_fact, (FunctionValue, KernelValue)):
+        if isinstance(base_fact, FunctionValue) or base_fact is KERNEL:
             return UNKNOWN
         dotted = _dotted_name(node)
         if dotted is not None:
             target = self.resolver.resolve_target(dotted)
             if target is not None:
-                loader = _KERNEL_LOADERS.get(target)
-                if loader is not None:
+                if target == _KERNEL_LOADER:
                     return FunctionValue(target)
                 resolved = self.checker.model.lookup_callable(target)
                 if resolved is not None:
@@ -1253,20 +1211,18 @@ class _ShapeEvaluator:
             callee_fact = self.env.get(
                 func.id, self.closure_env.get(func.id)
             )
-        if isinstance(callee_fact, KernelValue):
-            self._check_kernel_call(node, callee_fact)
+        if callee_fact is KERNEL:
+            self._check_kernel_call(node)
             return NONE
 
         callee, offset, receiver_self = self._resolve_project_call(func)
-        if callee in _KERNEL_LOADERS:
+        if callee == _KERNEL_LOADER:
             for arg in node.args:
                 self.eval(arg)
-            return KernelValue(frozenset({_KERNEL_LOADERS[callee]}))
+            return KERNEL
         if isinstance(callee_fact, FunctionValue):
-            if callee_fact.qualname in _KERNEL_LOADERS:
-                return KernelValue(
-                    frozenset({_KERNEL_LOADERS[callee_fact.qualname]})
-                )
+            if callee_fact.qualname == _KERNEL_LOADER:
+                return KERNEL
             callee, offset, receiver_self = callee_fact.qualname, 0, False
         if callee is not None and not (
             offset == 1 and not receiver_self  # constructors: see below
@@ -1578,7 +1534,7 @@ class _ShapeEvaluator:
                 return None, 0, False
             target = self.resolver.resolve_target(func.id)
             if target is not None:
-                if target in _KERNEL_LOADERS:
+                if target == _KERNEL_LOADER:
                     return target, 0, False
                 callee = model.lookup_callable(target)
                 if callee is not None:
@@ -1587,9 +1543,10 @@ class _ShapeEvaluator:
             return None, 0, False
         if isinstance(func, ast.Attribute):
             base = func.value
-            if isinstance(base, ast.Name) and self.env.get(base.id) is SELF:
-                if self.info is not None and self.info.class_qualname:
-                    klass = model.classes.get(self.info.class_qualname)
+            if isinstance(base, ast.Name) and self._eval_name(base.id) is SELF:
+                owner = self._owner_class()
+                if owner is not None:
+                    klass = model.classes.get(owner)
                     if klass is not None:
                         method = klass.methods.get(func.attr)
                         if method is not None:
@@ -1599,7 +1556,7 @@ class _ShapeEvaluator:
             if dotted is not None:
                 target = self.resolver.resolve_target(dotted)
                 if target is not None:
-                    if target in _KERNEL_LOADERS:
+                    if target == _KERNEL_LOADER:
                         return target, 0, False
                     callee = model.lookup_callable(target)
                     if callee is not None:
@@ -1660,56 +1617,28 @@ class _ShapeEvaluator:
             checker._active.discard(callee)
 
     # -- the native-boundary contract -----------------------------------
-    def _check_kernel_call(self, node: ast.Call, kernel: KernelValue) -> None:
-        contract = self.checker.kernel_contract()
-        variants = self._expand_call_args(node)
-        if contract is None or self.info is None:
-            return
-        prototypes, obligations = contract
-        from repro.timing import native
-
-        entry_names = {
-            "serial": native.KERNEL_FUNCTION,
-            "mt": native.KERNEL_FUNCTION_MT,
-        }
-        for args in variants:
-            for kind in sorted(kernel.kinds):
-                fn = entry_names.get(kind)
-                prototype = prototypes.get(fn) if fn else None
-                if prototype is None:
-                    continue
-                if len(args) != len(prototype.parameters):
-                    continue
-                self._check_kernel_variant(
-                    node, fn, prototype, obligations.get(fn, {}), args
-                )
-
-    def _expand_call_args(
-        self, node: ast.Call
-    ) -> List[List[Tuple[Fact, ast.AST]]]:
-        """Argument (fact, node) lists, forked per starred-tuple variant."""
-        variants: List[List[Tuple[Fact, ast.AST]]] = [[]]
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                fact = self.eval(arg.value)
-                forks = _tuple_variants(fact)
-                if not forks:
-                    return []  # unknown arity: nothing checkable
-                extended: List[List[Tuple[Fact, ast.AST]]] = []
-                for variant in variants:
-                    for fork in forks[:4]:
-                        extended.append(
-                            variant + [(item, arg) for item in fork.items]
-                        )
-                variants = extended[:4]
-            else:
-                fact = self.eval(arg)
-                for variant in variants:
-                    variant.append((fact, arg))
+    def _check_kernel_call(self, node: ast.Call) -> None:
+        args: List[Tuple[Fact, ast.AST]] = [
+            (self.eval(arg), arg) for arg in node.args
+        ]
         for keyword in node.keywords:
             if keyword.value is not None:
                 self.eval(keyword.value)
-        return variants
+        contract = self.checker.kernel_contract()
+        if contract is None or self.info is None:
+            return
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            return  # unknown arity: nothing checkable
+        prototypes, obligations = contract
+        from repro.timing import native
+
+        fn = native.KERNEL_FUNCTION
+        prototype = prototypes.get(fn)
+        if prototype is None or len(args) != len(prototype.parameters):
+            return
+        self._check_kernel_args(
+            node, fn, prototype, obligations.get(fn, {}), args
+        )
 
     def _lookup_symbol(self, name: str) -> Optional[Poly]:
         fact = self.env.get(name, self.closure_env.get(name))
@@ -1721,7 +1650,7 @@ class _ShapeEvaluator:
             return self.checker.atom_for(("opaque", fact.key, "num"))
         return None
 
-    def _check_kernel_variant(
+    def _check_kernel_args(
         self,
         node: ast.Call,
         fn: str,

@@ -6,29 +6,27 @@ round, every live request contributes its next chunk of parameter
 samples, the concatenated block runs through the resident engine *once*,
 and the rows are split back per request.
 
-Determinism is structural, not statistical.  Each request's samples are
-generated from its own seed exactly as a serial
-:meth:`MonteCarloSSTA._run_flow` would — the one-shot path passes the
-raw seed to a single ``generate()`` call, the chunked path threads one
-persistent ``as_generator(seed)`` stream through per-chunk calls — and
-the engine's sample axis is bitwise row-independent (the PR-2 blocked
-execution guarantee), so the split rows, the per-chunk
-:class:`StreamingSTAResult` updates, and therefore every reported
-statistic are bitwise identical to the serial run regardless of batch
-composition, ordering, or worker count.
+Determinism is structural, not statistical.  Each request consumes its
+own :class:`~repro.timing.ssta.SampleStream` — the very object a serial
+:class:`~repro.timing.ssta.MonteCarloSSTA` run draws from, so the seed
+policy exists once — and the engine's sample axis is bitwise
+row-independent (blocked execution never mixes samples), so the split
+rows, the per-chunk :class:`StreamingSTAResult` updates, and therefore
+every reported statistic are bitwise identical to the serial run
+regardless of batch composition, ordering, or worker count.
 
-Failure containment: a sweep-stage failure (injected or real) fails the
-requests in that batch with a typed error and returns — the worker and
-its queue keep serving.  Cancelled or slow-consumer streams are detected
-at chunk boundaries and dropped from subsequent rounds without touching
-their batch peers' sample streams.
+Failure containment: a generation- or sweep-stage failure (injected or
+real) fails the requests in that batch with a typed error and returns —
+the worker and its queue keep serving.  Cancelled or slow-consumer
+streams are detected at chunk boundaries and dropped from subsequent
+rounds without touching their batch peers' sample streams.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +38,9 @@ from repro.service.request import (
     ServiceResult,
 )
 from repro.service.stream import ResultStream
-from repro.timing.ssta import MonteCarloSSTA, StreamingSTAResult
+from repro.timing.ssta import MonteCarloSSTA, SampleStream
 from repro.timing.sta import STAResult
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -55,46 +53,17 @@ class ActiveRequest:
     submitted_at: float
     deadline: Optional[float] = None
     wait_seconds: float = 0.0
-    # Runtime state, initialized by `_prepare` at batch start.
-    chunked: bool = False
-    rng: Optional[np.random.Generator] = None
-    accumulator: Optional[StreamingSTAResult] = None
-    final_sta: Optional[STAResult] = None
-    produced: int = 0
+    # Runtime state, set by `execute_batch` at batch start.
+    samples: Optional[SampleStream] = None
     chunk_index: int = 0
-    sample_seconds: float = 0.0
     timer_seconds: float = 0.0
     finished: bool = field(default=False)
-
-    def next_rows(self) -> int:
-        """Sample rows this request contributes to the next round."""
-        remaining = self.request.num_samples - self.produced
-        if not self.chunked:
-            return remaining
-        assert self.request.chunk_size is not None
-        return min(self.request.chunk_size, remaining)
 
     def finish(self, result: ServiceResult) -> None:
         """Publish the terminal result exactly once."""
         if not self.finished:
             self.finished = True
             self.stream.finish(result)
-
-
-def _prepare(active: ActiveRequest) -> None:
-    """Set up the request's seed stream, mirroring the serial flow.
-
-    One-shot requests (``chunk_size`` unset, or ``N <= chunk_size``) pass
-    their raw seed to a single ``generate()`` call; chunked requests
-    thread one persistent generator through per-chunk calls — exactly
-    :meth:`MonteCarloSSTA._run_flow`'s two branches.
-    """
-    request = active.request
-    chunk = request.chunk_size
-    active.chunked = chunk is not None and request.num_samples > chunk
-    if active.chunked:
-        active.rng = as_generator(active.seed)
-        active.accumulator = StreamingSTAResult(quantiles=request.quantiles)
 
 
 def _terminal(
@@ -105,16 +74,15 @@ def _terminal(
     batch_size: int = 0,
 ) -> ServiceResult:
     """Build the terminal :class:`ServiceResult` for ``active``."""
-    sta = active.accumulator if active.chunked else active.final_sta
-    if status is not RequestStatus.DONE:
-        sta = None
+    samples = active.samples
+    done = status is RequestStatus.DONE
     return ServiceResult(
         request_id=active.stream.request_id,
         status=status,
-        sta=sta,
+        sta=samples.sta if done and samples is not None else None,
         error=error,
-        num_samples=active.produced if status is RequestStatus.DONE else 0,
-        sample_seconds=active.sample_seconds,
+        num_samples=samples.produced if done and samples is not None else 0,
+        sample_seconds=samples.sample_seconds if samples is not None else 0.0,
         timer_seconds=active.timer_seconds,
         wait_seconds=active.wait_seconds,
         batch_size=batch_size,
@@ -122,17 +90,15 @@ def _terminal(
 
 
 def _generation_round(
-    live: List[ActiveRequest],
-    harness: MonteCarloSSTA,
-    batch_size: int,
-) -> List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]]:
-    """Generate each live request's next chunk from its own seed stream.
+    live: List[ActiveRequest], batch_size: int
+) -> List[Tuple[ActiveRequest, SampleStream, int]]:
+    """Draw each live request's next chunk from its own sample stream.
 
-    Cancelled streams are finished and skipped *before* their generator
-    would have been advanced, so a disconnect never perturbs the
-    request's own (or any peer's) sample stream had it survived.
+    Cancelled streams are finished and skipped *before* their sample
+    stream would have been advanced, so a disconnect never perturbs the
+    request's own (or any peer's) samples had it survived.
     """
-    parts: List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]] = []
+    parts: List[Tuple[ActiveRequest, SampleStream, int]] = []
     for active in live:
         if active.stream.cancelled:
             active.finish(
@@ -144,23 +110,23 @@ def _generation_round(
                 )
             )
             continue
-        rows = active.next_rows()
-        generator = (
-            harness.kle_generator
-            if active.request.flow == "kle"
-            else harness.reference_generator
-        )
-        seed: SeedLike = active.rng if active.chunked else active.seed
-        generated = generator.generate(
-            harness.gate_locations, rows, seed=seed
-        )
-        active.sample_seconds += generated.total_seconds
-        parts.append((active, rows, dict(generated.samples)))
+        assert active.samples is not None
+        parts.append((active, active.samples, active.samples.draw()))
     return parts
 
 
+def _concatenate(
+    blocks: Sequence[Dict[str, np.ndarray]],
+) -> Dict[str, np.ndarray]:
+    """Stack per-request sample matrices along the sample axis."""
+    return {
+        name: np.concatenate([block[name] for block in blocks])
+        for name in blocks[0]
+    }
+
+
 def _split_round(
-    parts: List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]],
+    parts: List[Tuple[ActiveRequest, SampleStream, int]],
     sta: STAResult,
     sweep_seconds: float,
     batch_size: int,
@@ -169,10 +135,10 @@ def _split_round(
 
     Returns the requests still live for the next round.
     """
-    total_rows = sum(rows for _, rows, _ in parts)
+    total_rows = sum(rows for _, _, rows in parts)
     survivors: List[ActiveRequest] = []
     offset = 0
-    for active, rows, _ in parts:
+    for active, samples, rows in parts:
         worst = sta.worst_delay[offset : offset + rows]
         ends = {
             net: values[offset : offset + rows]
@@ -180,24 +146,18 @@ def _split_round(
         }
         offset += rows
         active.timer_seconds += sweep_seconds * (rows / max(total_rows, 1))
-        chunk_sta = STAResult(
-            end_arrivals=ends, worst_delay=worst, num_samples=rows
-        )
-        if active.chunked:
-            assert active.accumulator is not None
-            active.accumulator.update(chunk_sta)
-        else:
-            active.final_sta = chunk_sta
         chunk = ChunkResult(
             request_id=active.stream.request_id,
             index=active.chunk_index,
-            start=active.produced,
+            start=samples.produced,
             num_samples=rows,
             worst_delay=worst,
             end_arrivals=ends if active.request.include_samples else None,
         )
+        samples.record(
+            STAResult(end_arrivals=ends, worst_delay=worst, num_samples=rows)
+        )
         active.chunk_index += 1
-        active.produced += rows
         if not active.stream.offer(chunk):
             active.finish(
                 _terminal(
@@ -208,7 +168,7 @@ def _split_round(
                 )
             )
             continue
-        if active.produced >= active.request.num_samples:
+        if samples.done:
             active.finish(
                 _terminal(active, RequestStatus.DONE, batch_size=batch_size)
             )
@@ -220,9 +180,9 @@ def _split_round(
 def fail_batch(batch: List[ActiveRequest], error: str) -> None:
     """Fail every unfinished request in ``batch`` with ``error``.
 
-    Used by the worker when artifact resolution or the sweep stage dies:
-    the affected requests get a terminal FAILED result, the queue keeps
-    serving everything else.
+    Used by the worker when artifact resolution, sample generation or
+    the sweep stage dies: the affected requests get a terminal FAILED
+    result, the queue keeps serving everything else.
     """
     for active in batch:
         active.finish(
@@ -250,7 +210,6 @@ def execute_batch(
     batch_size = len(batch)
     live: List[ActiveRequest] = []
     for active in batch:
-        _prepare(active)
         if (
             active.deadline is not None
             and time.monotonic() > active.deadline
@@ -264,29 +223,37 @@ def execute_batch(
                 )
             )
             continue
+        request = active.request
+        active.samples = SampleStream(
+            harness,
+            request.flow,
+            request.num_samples,
+            seed=active.seed,
+            chunk_size=request.chunk_size,
+            quantiles=request.quantiles,
+        )
         live.append(active)
 
     while live:
-        parts = _generation_round(live, harness, batch_size)
-        if not parts:
-            return
-        names = list(parts[0][2])
-        combined = {
-            name: np.concatenate([samples[name] for _, _, samples in parts])
-            for name in names
-        }
-        start = time.perf_counter()
+        stage = "sample generation"
         try:
+            parts = _generation_round(live, batch_size)
+            if not parts:
+                return
+            streams = [samples for _, samples, _ in parts]
+            parameters = _concatenate([s.parameters for s in streams])
+            wires = [s.wire_scales for s in streams if s.wire_scales]
+            wire_scales = _concatenate(wires) if wires else None
+            stage = "sweep"
+            start = time.perf_counter()
             faults.fire("sweep")
-            sta = harness.engine.run(combined)
+            sta = harness.engine.run(parameters, wire_scales=wire_scales)
         except Exception as exc:  # repro-lint: disable=REPRO-EXC001
-            # Containment boundary: a failed sweep fails this batch's
-            # requests with a typed terminal result and returns; the
-            # worker loop (and every other queued request) keeps going.
-            fail_batch(
-                [active for active, _, _ in parts],
-                f"sweep failed: {exc!r}",
-            )
+            # Containment boundary: a failed generation round or sweep
+            # fails this batch's requests with a typed terminal result and
+            # returns; the worker loop (and every other queued request)
+            # keeps going.
+            fail_batch(live, f"{stage} failed: {exc!r}")
             return
         sweep_seconds = time.perf_counter() - start
         live = _split_round(parts, sta, sweep_seconds, batch_size)

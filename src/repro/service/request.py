@@ -9,10 +9,10 @@ universe (which kernels exist, the die, the mesh, the KLE resolution);
 
 Determinism contract: a request's result is a pure function of the
 request tuple.  It does not depend on which other requests it was
-batched with, on queue order, or on worker count — the batcher generates
-each request's samples from its own seed stream exactly as a serial
-:class:`~repro.timing.ssta.MonteCarloSSTA` run would, and the shared STA
-sweep is bitwise row-independent.
+batched with, on queue order, or on worker count — the batcher consumes
+each request's own :class:`~repro.timing.ssta.SampleStream`, the same
+stream a serial :class:`~repro.timing.ssta.MonteCarloSSTA` run draws
+from, and the shared STA sweep is bitwise row-independent.
 """
 
 from __future__ import annotations

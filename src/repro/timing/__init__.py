@@ -18,6 +18,7 @@ from repro.timing.sta import ENGINE_MODES, STAEngine, STAResult
 from repro.timing.compiled import CompiledTimingProgram
 from repro.timing.ssta import (
     MonteCarloSSTA,
+    SampleStream,
     SSTAComparison,
     SSTARun,
     StreamingSTAResult,
@@ -57,6 +58,7 @@ __all__ = [
     "STAResult",
     "CompiledTimingProgram",
     "MonteCarloSSTA",
+    "SampleStream",
     "SSTAComparison",
     "SSTARun",
     "StreamingSTAResult",

@@ -189,7 +189,6 @@ class _Scratch:
         block: int,
         max_pins: int,
         max_gates: int,
-        num_ends: int,
         *,
         statistical: bool,
         wire: bool,
@@ -202,7 +201,6 @@ class _Scratch:
         self.best_a = np.empty(gates)    # winning arrival per gate
         self.best_s = np.empty(gates)    # winning slew per gate
         self.mask = np.empty(gates, dtype=bool)
-        self.ends = np.empty(block * max(num_ends, 1))
         if wire:
             self.pin_r = np.empty(pins)
             self.pin_c = np.empty(pins)
@@ -624,59 +622,65 @@ class CompiledTimingProgram:
             Use the identity (net-indexed) arena so every net's arrival
             survives to the result.
         native_threads:
-            Worker count for the native kernel's sample-parallel entry
-            point; ``None`` defers to ``REPRO_NATIVE_THREADS``.  Results
-            are bitwise identical for every value — only speed changes.
+            Worker count for the native kernel; ``None`` defers to
+            ``REPRO_NATIVE_THREADS``.  Results are bitwise identical for
+            every value — only speed changes.
         """
         keep_all = bool(keep_all_arrivals)
-        width = self.num_nets if keep_all else self.num_slots
-        num_gates = self._packed_models.num_gates
-        block = self.block_size(num_samples, width)
         wire = r_scales is not None or c_scales is not None
+        kernel = None if wire else native.load_kernel()
+        self.last_run_native = kernel is not None
+        if kernel is not None:
+            return self._execute_native(
+                kernel,
+                num_samples,
+                parameter_products,
+                float(input_slew_ps),
+                keep_all,
+                native.resolve_thread_count(native_threads),
+            )
+        return self._execute_numpy(
+            num_samples,
+            parameter_products,
+            r_scales,
+            c_scales,
+            float(input_slew_ps),
+            keep_all,
+        )
 
-        if not wire:
-            kernel = native.load_kernel()
-            if kernel is not None:
-                self.last_run_native = True
-                return self._execute_native(
-                    kernel,
-                    num_samples,
-                    parameter_products,
-                    float(input_slew_ps),
-                    keep_all,
-                    native.resolve_thread_count(native_threads),
-                )
-        self.last_run_native = False
+    def _drive(
+        self,
+        num_samples: int,
+        block: int,
+        parameter_products: Optional[
+            Sequence[Tuple[np.ndarray, np.ndarray]]
+        ],
+        keep_all: bool,
+        evaluate: Callable[[int, int, Optional[np.ndarray]], np.ndarray],
+    ) -> CompiledRunOutput:
+        """The block loop both executors share.
 
-        arrival = np.empty((block, width))
-        slew = np.empty((block, width))
+        Per sample block ``[start, stop)`` it accumulates the ``u``
+        projection straight from the caller's sample matrices, calls
+        ``evaluate(start, stop, u)`` — which returns the block's arrival
+        arena as a slot-major ``(width, rows)`` view — and gathers the
+        end arrivals and their worst-delay max.  Per-sample results are
+        independent of the blocking, so chunked runs stay bitwise
+        identical.
+        """
+        num_gates = self._packed_models.num_gates
         u_buffer = tmp_buffer = None
         if parameter_products:
             u_buffer = np.empty((block, num_gates))
             tmp_buffer = np.empty((block, num_gates))
-
         worst_idx = self._end_cols if keep_all else self._end_slots
-        scratch = _Scratch(
-            block,
-            max((lv.pin_cols.size for lv in self.levels), default=1),
-            max((lv.gate_ids.size for lv in self.levels), default=1),
-            worst_idx.size,
-            statistical=bool(parameter_products),
-            wire=wire,
-        )
-
         out_names = self.net_order if keep_all else self._end_names
         end_out = np.empty((len(out_names), num_samples))
         worst = np.empty(num_samples)
 
-        pi_idx = self._pi_cols if keep_all else self._pi_slots
-        dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
-
         for start in range(0, num_samples, block):
             stop = min(start + block, num_samples)
             rows = stop - start
-            arr = arrival[:rows]
-            slw = slew[:rows]
             u = None
             if parameter_products:
                 u = u_buffer[:rows]
@@ -687,29 +691,13 @@ class CompiledTimingProgram:
                     else:
                         np.multiply(matrix[start:stop], weights, out=tmp)
                         u += tmp
-            rb = None if r_scales is None else r_scales[start:stop]
-            cb = None if c_scales is None else c_scales[start:stop]
-
-            arr[:, pi_idx] = 0.0
-            slw[:, pi_idx] = float(input_slew_ps)
-            if self._dff_gate_ids.size:
-                self._init_dffs(arr, slw, dff_idx, u, cb)
-            for level in self.levels:
-                self._execute_level(
-                    level, arr, slw, u, rb, cb, keep_all, scratch
-                )
-
+            arrivals = evaluate(start, stop, u)
+            ends = arrivals[worst_idx]
             if worst_idx.size:
-                ends = _view(scratch.ends, rows, worst_idx.size)
-                np.take(arr, worst_idx, axis=1, out=ends, mode="clip")
-                np.max(ends, axis=1, out=worst[start:stop])
+                np.max(ends, axis=0, out=worst[start:stop])
             else:
                 worst[start:stop] = -np.inf
-            if keep_all:
-                end_out[:, start:stop] = arr.T
-            elif worst_idx.size:
-                # The end gather above is exactly the per-end output.
-                end_out[:, start:stop] = ends.T
+            end_out[:, start:stop] = arrivals if keep_all else ends
 
         end_arrivals = {
             net: end_out[i] for i, net in enumerate(out_names)
@@ -718,6 +706,54 @@ class CompiledTimingProgram:
             end_arrivals=end_arrivals,
             worst_delay=worst,
             num_samples=num_samples,
+        )
+
+    def _execute_numpy(
+        self,
+        num_samples: int,
+        parameter_products: Optional[
+            Sequence[Tuple[np.ndarray, np.ndarray]]
+        ],
+        r_scales: Optional[np.ndarray],
+        c_scales: Optional[np.ndarray],
+        input_slew_ps: float,
+        keep_all: bool,
+    ) -> CompiledRunOutput:
+        """Evaluate sample blocks level by level with numpy array ops."""
+        width = self.num_nets if keep_all else self.num_slots
+        block = self.block_size(num_samples, width)
+        arrival = np.empty((block, width))
+        slew = np.empty((block, width))
+        scratch = _Scratch(
+            block,
+            max((lv.pin_cols.size for lv in self.levels), default=1),
+            max((lv.gate_ids.size for lv in self.levels), default=1),
+            statistical=bool(parameter_products),
+            wire=r_scales is not None or c_scales is not None,
+        )
+        pi_idx = self._pi_cols if keep_all else self._pi_slots
+        dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
+
+        def evaluate(
+            start: int, stop: int, u: Optional[np.ndarray]
+        ) -> np.ndarray:
+            rows = stop - start
+            arr = arrival[:rows]
+            slw = slew[:rows]
+            rb = None if r_scales is None else r_scales[start:stop]
+            cb = None if c_scales is None else c_scales[start:stop]
+            arr[:, pi_idx] = 0.0
+            slw[:, pi_idx] = input_slew_ps
+            if self._dff_gate_ids.size:
+                self._init_dffs(arr, slw, dff_idx, u, cb)
+            for level in self.levels:
+                self._execute_level(
+                    level, arr, slw, u, rb, cb, keep_all, scratch
+                )
+            return arr.T
+
+        return self._drive(
+            num_samples, block, parameter_products, keep_all, evaluate
         )
 
     def _execute_native(
@@ -729,50 +765,34 @@ class CompiledTimingProgram:
         ],
         input_slew_ps: float,
         keep_all: bool,
-        threads: int = 1,
+        threads: int,
     ) -> CompiledRunOutput:
-        """Drive ``sta_kernel.c`` over sample blocks.
+        """Evaluate sample blocks with ``sta_kernel.c``.
 
-        The numpy side only builds the per-block ``u`` projection (a
-        streaming pass over the sample matrices) and reads back the end
-        arrivals; everything between lives in the kernel's fused
-        per-gate loop.  The arenas are flat ``(width × B)`` buffers in
-        slot-major order, so partial trailing blocks simply use a
-        shorter sample stride — per-sample results are independent of
-        the blocking, keeping chunked runs bitwise identical.
+        Everything between the ``u`` projection and the end gather lives
+        in the kernel's fused per-gate loop.  The arenas are flat
+        ``(width × B)`` buffers in slot-major order, so partial trailing
+        blocks simply use a shorter sample stride.
 
-        With ``threads > 1`` the block's sample lanes are partitioned
-        across the kernel's worker team (``sta_eval_gates_mt``); each
-        worker gets a private ``4 × B`` scratch block inside
-        ``kscratch``.  Per-lane arithmetic is identical under every
-        partition, so results are bitwise independent of ``threads``.
+        The block's sample lanes are partitioned across ``threads``
+        kernel workers (one runs inline on this thread); each worker
+        gets a private ``4 × B`` scratch block inside ``kscratch``.
+        Per-lane arithmetic is identical under every partition, so
+        results are bitwise independent of ``threads``.
         """
         import ctypes
 
-        threads = max(int(threads), 1)
-        kernel_mt = native.load_kernel_mt() if threads > 1 else None
-        if threads > 1 and kernel_mt is None:
-            threads = 1
         width = self.num_nets if keep_all else self.num_slots
         num_gates = self._packed_models.num_gates
         block = self._native_block_size(num_samples, width, threads)
-
         arena_a = np.empty(width * block)
         arena_s = np.empty(width * block)
         kscratch = np.empty(4 * block * threads)
-        u_buffer = tmp_buffer = None
-        if parameter_products:
-            u_buffer = np.empty((block, num_gates))
-            tmp_buffer = np.empty((block, num_gates))
 
         pi_idx = self._pi_cols if keep_all else self._pi_slots
         dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
         p_slot = self._k_p_col if keep_all else self._k_p_slot
         out_slot = self._k_out_col if keep_all else self._k_out_slot
-        worst_idx = self._end_cols if keep_all else self._end_slots
-        out_names = self.net_order if keep_all else self._end_names
-        end_out = np.empty((len(out_names), num_samples))
-        worst = np.empty(num_samples)
 
         p_f64 = ctypes.POINTER(ctypes.c_double)
         p_i64 = ctypes.POINTER(ctypes.c_int64)
@@ -783,25 +803,17 @@ class CompiledTimingProgram:
         def pi(a: np.ndarray) -> Any:
             return a.ctypes.data_as(p_i64)
 
-        for start in range(0, num_samples, block):
-            stop = min(start + block, num_samples)
+        def evaluate(
+            start: int, stop: int, u: Optional[np.ndarray]
+        ) -> np.ndarray:
             rows = stop - start
-            u = None
-            if parameter_products:
-                u = u_buffer[:rows]
-                tmp = tmp_buffer[:rows]
-                for j, (matrix, weights) in enumerate(parameter_products):
-                    if j == 0:
-                        np.multiply(matrix[start:stop], weights, out=u)
-                    else:
-                        np.multiply(matrix[start:stop], weights, out=tmp)
-                        u += tmp
-            entry: Any = kernel if threads == 1 else kernel_mt
-            extra: Tuple[int, ...] = () if threads == 1 else (threads,)
-            entry(
+            # A no-op for `_drive`'s projection buffer; it states the
+            # kernel's contract here, where the pointer is taken.
+            ku = None if u is None else np.ascontiguousarray(u, np.float64)
+            kernel(
                 rows,
                 num_gates,
-                pd(u) if u is not None else None,
+                pd(ku) if ku is not None else None,
                 input_slew_ps,
                 pi(pi_idx),
                 pi_idx.size,
@@ -839,27 +851,12 @@ class CompiledTimingProgram:
                 pd(arena_a),
                 pd(arena_s),
                 pd(kscratch),
-                *extra,
+                threads,
             )
-            av = arena_a[: width * rows].reshape(width, rows)
-            ends = None
-            if worst_idx.size:
-                ends = av[worst_idx]
-                np.max(ends, axis=0, out=worst[start:stop])
-            else:
-                worst[start:stop] = -np.inf
-            if keep_all:
-                end_out[:, start:stop] = av
-            elif ends is not None:
-                end_out[:, start:stop] = ends
+            return arena_a[: width * rows].reshape(width, rows)
 
-        end_arrivals = {
-            net: end_out[i] for i, net in enumerate(out_names)
-        }
-        return CompiledRunOutput(
-            end_arrivals=end_arrivals,
-            worst_delay=worst,
-            num_samples=num_samples,
+        return self._drive(
+            num_samples, block, parameter_products, keep_all, evaluate
         )
 
     def _init_dffs(

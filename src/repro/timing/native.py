@@ -17,8 +17,9 @@ within floating-point reassociation error (``rtol=1e-12``) of both the
 numpy path and the reference engine, and are bitwise reproducible across
 chunk/block partitionings.
 
-Threading: the kernel also exports ``sta_eval_gates_mt``, which
-partitions the sample lanes of each block across a worker team.  The
+Threading: the kernel's one entry point, ``sta_eval_gates_mt``,
+partitions the sample lanes of each block across a worker team; one
+worker runs inline on the calling thread.  The
 parallel backend is probed at build time (:func:`thread_backend`):
 OpenMP when a ``-fopenmp`` compile succeeds, raw pthreads otherwise,
 sequential-sweep fallback when neither works — and the chosen backend's
@@ -66,13 +67,10 @@ _SANITIZE_FLAG_MAP = {
 #: bitwise behavior and cache key) never change when sanitizers exist.
 _SANITIZE_BASE_CFLAGS = ["-O1", "-g", "-shared", "-fPIC"]
 
-#: Name of the serial kernel entry point in ``sta_kernel.c``.
-KERNEL_FUNCTION = "sta_eval_gates"
+#: Name of the kernel entry point in ``sta_kernel.c``.
+KERNEL_FUNCTION = "sta_eval_gates_mt"
 
-#: Name of the sample-parallel kernel entry point in ``sta_kernel.c``.
-KERNEL_FUNCTION_MT = "sta_eval_gates_mt"
-
-#: ctypes result type of both kernels (``void``).
+#: ctypes result type of the kernel (``void``).
 KERNEL_RESTYPE = None
 
 #: Compiler flags per thread backend.  ``pthreads`` defines
@@ -92,7 +90,7 @@ _PTHREAD_PROBE = (
     "return pthread_create(&t, 0, noop, 0) == 0 ? pthread_join(t, 0) : 1;}\n"
 )
 
-_cached: Optional[Tuple[object, Optional[object]]] = None
+_cached: Optional[object] = None
 _cached_key: Optional[str] = None
 _compiler_identity_cache: Optional[str] = None
 _thread_backend_cache: Optional[str] = None
@@ -211,8 +209,8 @@ def thread_backend() -> str:
 
     Probes the toolchain once per process: ``"openmp"`` when a
     ``-fopenmp`` compile succeeds, else ``"pthreads"`` when ``-pthread``
-    works, else ``"none"`` (the ``_mt`` entry point still exists but
-    sweeps lane ranges sequentially).  ``REPRO_NATIVE_THREAD_BACKEND``
+    works, else ``"none"`` (the entry point still exists but sweeps lane
+    ranges sequentially).  ``REPRO_NATIVE_THREAD_BACKEND``
     pins the answer — ``openmp``/``pthreads``/``none``, case-insensitive
     — skipping the probe, which is how tests exercise the fallback
     paths deterministically; an unknown value raises ``ValueError``.
@@ -334,7 +332,9 @@ def kernel_argtypes() -> List[type]:
     ``sta_kernel.c``; :mod:`repro.analysis.cabi` cross-checks it against
     the parsed C prototype (arity, pointer width, element dtype) so a
     skewed edit fails the lint gate instead of corrupting memory in the
-    native hot path.
+    native hot path.  The trailing ``int64_t num_threads`` sizes the
+    worker team; ``scratch`` must hold ``4 × B × num_threads`` doubles
+    (one private block per worker).
     """
     i64 = ctypes.c_int64
     p_i64 = ctypes.POINTER(ctypes.c_int64)
@@ -349,17 +349,8 @@ def kernel_argtypes() -> List[type]:
         p_f64, p_f64, p_f64, p_f64,
         p_i64, p_f64, p_f64,
         p_f64, p_f64, p_f64,
+        i64,
     ]
-
-
-def kernel_argtypes_mt() -> List[type]:
-    """The ctypes ``argtypes`` declaration for :data:`KERNEL_FUNCTION_MT`.
-
-    The multithreaded entry point takes the serial kernel's parameter
-    list plus a trailing ``int64_t num_threads``; its ``scratch`` must
-    hold ``4 × B × num_threads`` doubles (one private block per worker).
-    """
-    return kernel_argtypes() + [ctypes.c_int64]
 
 
 def kernel_abi() -> Dict[str, Tuple[List[type], Optional[type]]]:
@@ -368,22 +359,21 @@ def kernel_abi() -> Dict[str, Tuple[List[type], Optional[type]]]:
     The C-ABI cross-checker iterates this registry, so adding a kernel
     entry point here is what puts it under the lint gate's protection.
     """
-    return {
-        KERNEL_FUNCTION: (kernel_argtypes(), KERNEL_RESTYPE),
-        KERNEL_FUNCTION_MT: (kernel_argtypes_mt(), KERNEL_RESTYPE),
-    }
+    return {KERNEL_FUNCTION: (kernel_argtypes(), KERNEL_RESTYPE)}
 
 
-def _load_functions() -> Optional[Tuple[object, Optional[object]]]:
-    """Build/load the kernel library; return ``(serial_fn, mt_fn)``.
+def load_kernel() -> Optional[object]:
+    """Build/load the kernel; return the ``sta_eval_gates_mt`` function.
+
+    ``None`` when the kernel is disabled or cannot be built.  The
+    function exists even when :func:`thread_backend` is ``"none"`` — it
+    then sweeps the lane ranges sequentially, preserving the bitwise
+    contract with zero speedup.
 
     The compiled shared object is cached per source/flag hash under the
     artifact cache directory; builds are atomic (compile to a temp file,
     then ``os.replace``) so concurrent processes — e.g. ``table1``
-    workers — never load a half-written library.  ``mt_fn`` is ``None``
-    for a stale library that predates the multithreaded entry point
-    (possible only with a hand-placed ``.so``, since the build key
-    hashes the source).
+    workers — never load a half-written library.
     """
     global _cached, _cached_key
     if os.environ.get("REPRO_NO_NATIVE"):
@@ -432,35 +422,8 @@ def _load_functions() -> Optional[Tuple[object, Optional[object]]]:
         return None
     fn.argtypes = kernel_argtypes()
     fn.restype = KERNEL_RESTYPE
-    fn_mt: Optional[object] = None
-    try:
-        raw_mt = getattr(lib, KERNEL_FUNCTION_MT)
-    except AttributeError:
-        raw_mt = None
-    if raw_mt is not None:
-        raw_mt.argtypes = kernel_argtypes_mt()
-        raw_mt.restype = KERNEL_RESTYPE
-        fn_mt = raw_mt
-    # Per-process memo of the loaded ctypes functions: workers each
+    # Per-process memo of the loaded ctypes function: workers each
     # dlopen the (disk-shared) .so once; nothing reads this across
     # processes.
-    _cached, _cached_key = (fn, fn_mt), key  # repro-lint: disable=REPRO-PAR001
+    _cached, _cached_key = fn, key  # repro-lint: disable=REPRO-PAR001
     return _cached
-
-
-def load_kernel() -> Optional[object]:
-    """Return the serial ``sta_eval_gates`` ctypes function, or ``None``."""
-    loaded = _load_functions()
-    return None if loaded is None else loaded[0]
-
-
-def load_kernel_mt() -> Optional[object]:
-    """Return the ``sta_eval_gates_mt`` ctypes function, or ``None``.
-
-    ``None`` whenever :func:`load_kernel` would also return ``None``.
-    The function exists even when :func:`thread_backend` is ``"none"``
-    — it then sweeps the lane ranges sequentially, preserving the
-    bitwise contract with zero speedup.
-    """
-    loaded = _load_functions()
-    return None if loaded is None else loaded[1]

@@ -154,6 +154,122 @@ class StreamingSTAResult:
         return dict(zip(self._end_names, map(float, sigma)))
 
 
+class SampleStream:
+    """One flow's Monte-Carlo samples, drawn chunk by chunk.
+
+    The one implementation of the seed policy that
+    :meth:`MonteCarloSSTA.run_reference` / :meth:`~MonteCarloSSTA.run_kle`
+    and the service batcher share:
+
+    - **one-shot** (``chunk_size`` unset or ``N <= chunk_size``): the raw
+      seed goes to a single ``generate()`` call, and the result is an
+      exact :class:`~repro.timing.sta.STAResult`;
+    - **chunked**: one persistent ``as_generator(seed)`` is threaded
+      through per-chunk ``generate()`` calls, so successive chunks get
+      independent, reproducible sub-streams for any accepted seed form,
+      and chunks merge into a :class:`StreamingSTAResult` whose
+      statistics are those of one ``N``-sample run.  Samples are
+      *generated* per chunk too, so peak memory is bounded by
+      ``chunk_size × N_g`` end to end.
+
+    Wire fields, when the harness varies wires, come from a second stream
+    seeded with the flow seed shifted twice (one-shot: derived after the
+    parameter draw; chunked: one persistent generator).
+    ``sample_seconds`` sums the generators' own timings.
+
+    ``quantiles`` selects worst-delay quantile levels to track: chunked
+    runs estimate them with P² (no retention), one-shot runs report them
+    exactly — both through ``quantile_worst_delay``.
+
+    Callers alternate :meth:`draw`, which leaves the next chunk in
+    :attr:`parameters` and :attr:`wire_scales`, and :meth:`record` (that
+    chunk's STA result) until :attr:`done`.  A chunk is released only
+    once the next draw has generated its replacement, or when the stream
+    completes: freeing it before the draw hands its pages back to the
+    OS and makes every chunk fault them in again.
+    """
+
+    def __init__(
+        self,
+        harness: "MonteCarloSSTA",
+        flow: str,
+        num_samples: int,
+        *,
+        seed: SeedLike = None,
+        chunk_size: Optional[int] = None,
+        quantiles: Sequence[float] = (),
+    ) -> None:
+        if flow not in ("kle", "reference"):
+            raise ValueError(f"unknown flow {flow!r}")
+        kle = flow == "kle"
+        self._harness = harness
+        self._generator: SampleGenerator = (
+            harness.kle_generator if kle else harness.reference_generator
+        )
+        self._wire_generator: Optional[SampleGenerator] = None
+        if harness.wire_sigma:
+            self._wire_generator = (
+                harness._wire_kle_generator
+                if kle
+                else harness._wire_reference_generator
+            )
+        self.num_samples = num_samples
+        self.produced = 0
+        self.sample_seconds = 0.0
+        #: The last drawn chunk: parameter samples and wire R/C scales.
+        self.parameters: Dict[str, np.ndarray] = {}
+        self.wire_scales: Optional[Dict[str, np.ndarray]] = None
+        self.sta: Union[None, STAResult, StreamingSTAResult] = None
+        self._chunk_size: Optional[int] = None
+        self._seed = seed
+        self._wire_seed: SeedLike = None
+        if chunk_size is not None and num_samples > chunk_size:
+            if chunk_size < 1:
+                raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+            self._chunk_size = chunk_size
+            self._seed = as_generator(seed)
+            if self._wire_generator is not None:
+                self._wire_seed = as_generator(_shift_seed(_shift_seed(seed)))
+            self.sta = StreamingSTAResult(quantiles=quantiles)
+
+    @property
+    def done(self) -> bool:
+        """Whether every requested sample has been drawn and recorded."""
+        return self.sta is not None and self.produced >= self.num_samples
+
+    def draw(self) -> int:
+        """Generate the next chunk; returns its number of rows."""
+        rows = self.num_samples - self.produced
+        if self._chunk_size is not None:
+            rows = min(self._chunk_size, rows)
+        harness = self._harness
+        generated = self._generator.generate(
+            harness.gate_locations, rows, seed=self._seed
+        )
+        self.sample_seconds += generated.total_seconds
+        self.parameters = dict(generated.samples)
+        self.wire_scales = None
+        if self._wire_generator is not None:
+            wire_seed = self._wire_seed
+            if self._chunk_size is None:
+                wire_seed = _shift_seed(_shift_seed(self._seed))
+            self.wire_scales, wire_seconds = harness._wire_scales_from(
+                self._wire_generator, rows, wire_seed
+            )
+            self.sample_seconds += wire_seconds
+        return rows
+
+    def record(self, chunk: STAResult) -> None:
+        """Fold the STA result of the last drawn chunk into :attr:`sta`."""
+        if isinstance(self.sta, StreamingSTAResult):
+            self.sta.update(chunk)
+        else:
+            self.sta = chunk
+        self.produced += chunk.num_samples
+        if self.done:
+            self.parameters, self.wire_scales = {}, None
+
+
 @dataclass(frozen=True)
 class SSTARun:
     """One MC-SSTA execution: timing result plus cost accounting."""
@@ -326,12 +442,14 @@ class MonteCarloSSTA:
     ) -> SSTARun:
         """Algorithm 1 + STA: the exact, full-dimensional reference."""
         return self._run_flow(
-            self.reference_generator,
-            self._wire_reference_generator if self.wire_sigma else None,
-            num_samples,
-            seed,
-            chunk_size,
-            quantiles,
+            SampleStream(
+                self,
+                "reference",
+                num_samples,
+                seed=seed,
+                chunk_size=chunk_size,
+                quantiles=quantiles,
+            )
         )
 
     def run_kle(
@@ -344,88 +462,29 @@ class MonteCarloSSTA:
     ) -> SSTARun:
         """Algorithm 2 + STA: the reduced-dimensionality kernel flow."""
         return self._run_flow(
-            self.kle_generator,
-            self._wire_kle_generator if self.wire_sigma else None,
-            num_samples,
-            seed,
-            chunk_size,
-            quantiles,
-        )
-
-    def _run_flow(
-        self,
-        generator: "SampleGenerator",
-        wire_generator: "Optional[SampleGenerator]",
-        num_samples: int,
-        seed: SeedLike,
-        chunk_size: Optional[int],
-        quantiles: Sequence[float] = (),
-    ) -> SSTARun:
-        """Run one flow, either in one shot or as streamed chunks.
-
-        With ``chunk_size`` set, parameter samples (and wire fields) are
-        *generated* per chunk too, so peak memory is bounded by
-        ``chunk_size × N_g`` end to end — the paper-scale ``N = 100K``
-        runs never materialize the full sample matrices.  The chunks are
-        merged as running moments (:class:`StreamingSTAResult`); the
-        resulting statistics are those of a single ``N``-sample run over
-        the concatenated stream.  ``quantiles`` selects worst-delay
-        quantile levels to track: streamed runs estimate them with P²
-        (no retention), unchunked runs report them exactly — both through
-        ``quantile_worst_delay``.
-        """
-        if chunk_size is None or num_samples <= chunk_size:
-            generated = generator.generate(
-                self.gate_locations, num_samples, seed=seed
+            SampleStream(
+                self,
+                "kle",
+                num_samples,
+                seed=seed,
+                chunk_size=chunk_size,
+                quantiles=quantiles,
             )
-            sample_seconds = generated.total_seconds
-            wire_scales = None
-            if wire_generator is not None:
-                wire_scales, wire_seconds = self._wire_scales_from(
-                    wire_generator, num_samples,
-                    _shift_seed(_shift_seed(seed)),
-                )
-                sample_seconds += wire_seconds
-            start = time.perf_counter()
-            sta = self.engine.run(generated.samples, wire_scales=wire_scales)
-            timer_seconds = time.perf_counter() - start
-            return SSTARun(sta, sample_seconds, timer_seconds)
-
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        # One persistent generator per stream: spawn_generators() draws
-        # child seeds from it, so successive chunks get independent,
-        # reproducible sub-streams for any accepted seed form.
-        rng = as_generator(seed)
-        wire_rng = (
-            as_generator(_shift_seed(_shift_seed(seed)))
-            if wire_generator is not None
-            else None
         )
-        moments = StreamingSTAResult(quantiles=quantiles)
-        sample_seconds = 0.0
+
+    def _run_flow(self, stream: SampleStream) -> SSTARun:
+        """Run ``stream`` through the engine chunk by chunk."""
         timer_seconds = 0.0
-        done = 0
-        while done < num_samples:
-            rows = min(chunk_size, num_samples - done)
-            generated = generator.generate(
-                self.gate_locations, rows, seed=rng
-            )
-            sample_seconds += generated.total_seconds
-            wire_scales = None
-            if wire_generator is not None:
-                wire_scales, wire_seconds = self._wire_scales_from(
-                    wire_generator, rows, wire_rng
-                )
-                sample_seconds += wire_seconds
+        while not stream.done:
+            stream.draw()
             start = time.perf_counter()
             chunk = self.engine.run(
-                generated.samples, wire_scales=wire_scales
+                stream.parameters, wire_scales=stream.wire_scales
             )
             timer_seconds += time.perf_counter() - start
-            moments.update(chunk)
-            done += rows
-        return SSTARun(moments, sample_seconds, timer_seconds)
+            stream.record(chunk)
+        assert stream.sta is not None
+        return SSTARun(stream.sta, stream.sample_seconds, timer_seconds)
 
     # ------------------------------------------------------------------
     # The Table 1 comparison.

@@ -24,12 +24,13 @@
  * Per-sample results are independent of B, so any block partitioning
  * yields bitwise identical results.
  *
- * Threading: sta_eval_gates_mt partitions the B sample lanes into
- * contiguous ranges, one per worker.  Every lane's arithmetic is the
- * sequence of operations eval_lane_range runs for that lane alone —
- * identical whether the surrounding loop covers [0, B) or [lo, hi) —
- * so the multithreaded entry point is bitwise identical to the serial
- * one for every thread count and every lane partition.  Workers touch
+ * Threading: sta_eval_gates_mt, the one entry point, partitions the B
+ * sample lanes into contiguous ranges, one per worker; num_threads = 1
+ * runs the single range [0, B) inline on the calling thread.  Every
+ * lane's arithmetic is the sequence of operations eval_lane_range runs
+ * for that lane alone — identical whether the surrounding loop covers
+ * [0, B) or [lo, hi) — so results are bitwise identical for every
+ * thread count and every lane partition.  Workers touch
  * disjoint lane ranges of the shared arenas and private scratch
  * blocks, so no synchronization is needed beyond the join.  The
  * parallel backend is chosen at compile time: OpenMP when the build
@@ -166,40 +167,6 @@ static void eval_lane_range(
             os[n] = best_s[n];
         }
     }
-}
-
-void sta_eval_gates(
-    int64_t num_rows,            /* B: samples in this block */
-    int64_t num_model_gates,     /* Ng: row stride of u */
-    const double *u,             /* (B, Ng) projection, or NULL (nominal) */
-    double input_slew,
-    const int64_t *pi_slots, int64_t num_pi,
-    const int64_t *dff_slots, const int64_t *dff_gids,
-    const double *dff_dnom, const double *dff_snom,
-    const double *dff_k1, const double *dff_k2,
-    const double *dff_m1, const double *dff_m2, int64_t num_dff,
-    int64_t num_gates,           /* combinational gates, topological order */
-    const int64_t *g_fanin, const int64_t *g_out_slot, const int64_t *g_id,
-    const double *g_bd, const double *g_dsl,
-    const double *g_bs, const double *g_ssl,
-    const double *g_k1, const double *g_k2,
-    const double *g_m1, const double *g_m2,
-    const int64_t *p_slot, const double *p_wd, const double *p_step2,
-    double *arena_a, double *arena_s,   /* (width, B) slot-major */
-    double *scratch)                    /* >= 4*B doubles */
-{
-    const int64_t B = num_rows;
-    eval_lane_range(
-        num_model_gates, u, input_slew,
-        pi_slots, num_pi,
-        dff_slots, dff_gids, dff_dnom, dff_snom,
-        dff_k1, dff_k2, dff_m1, dff_m2, num_dff,
-        num_gates, g_fanin, g_out_slot, g_id,
-        g_bd, g_dsl, g_bs, g_ssl,
-        g_k1, g_k2, g_m1, g_m2,
-        p_slot, p_wd, p_step2,
-        arena_a, arena_s, B, 0, B,
-        scratch, scratch + B, scratch + 2 * B, scratch + 3 * B);
 }
 
 /* Shared per-call arguments for one multithreaded evaluation; worker t

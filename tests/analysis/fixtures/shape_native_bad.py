@@ -1,8 +1,8 @@
 """Seeded REPRO-SHAPE002 violations at the native kernel boundary.
 
 Two provable under-allocations (``g_bd`` one element short of the
-``num_gates`` loop bound, ``scratch`` a lane short of the ``4*num_rows``
-annotation) plus the three pin-table arguments left *unsuppressed* so
+``num_gates`` loop bound, ``scratch`` missing the per-worker factor of
+the ``4*num_rows*num_threads`` annotation) plus the three pin-table arguments left *unsuppressed* so
 the checker's distinct "not statically derivable" report is exercised.
 Expected findings: 2 cannot-prove + 3 not-derivable.
 """
@@ -25,6 +25,7 @@ def evaluate(
     num_gates: int,
     num_pins: int,
     width: int,
+    num_threads: int,
 ) -> None:
     kernel = load_kernel()
 
@@ -53,7 +54,7 @@ def evaluate(
     p_step2 = np.zeros(num_pins)
     arena_a = np.zeros(num_rows * width)
     arena_s = np.zeros(num_rows * width)
-    scratch = np.zeros(3 * num_rows)  # kernel slices 4 lanes of num_rows
+    scratch = np.zeros(4 * num_rows)  # one block, not one per worker
 
     kernel(
         num_rows,
@@ -89,4 +90,5 @@ def evaluate(
         arena_a.ctypes.data_as(P_F64),
         arena_s.ctypes.data_as(P_F64),
         scratch.ctypes.data_as(P_F64),
+        num_threads,
     )

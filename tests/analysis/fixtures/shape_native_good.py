@@ -1,10 +1,10 @@
 """Obligation-clean kernel call: every buffer provably dominates its bound.
 
 Mirrors the live ``CompiledTimingProgram`` call shape: each pointer
-argument of ``sta_eval_gates`` is allocated with exactly the extent
+argument of ``sta_eval_gates_mt`` is allocated with exactly the extent
 ``cabi.kernel_buffer_obligations`` derives from ``sta_kernel.c``
 (loop bounds for the per-gate tables, ``@repro-extent`` annotations for
-``u`` and the arenas, ``4*num_rows`` for scratch).  The three pin-table
+``u`` and the arenas, ``4*num_rows*num_threads`` for scratch).  The three pin-table
 arguments have no affine extent (the kernel walks them with a running
 counter), so they carry the same hand-proof suppression the live tree
 uses.  REPRO-SHAPE002 must report nothing here.
@@ -28,6 +28,7 @@ def evaluate(
     num_gates: int,
     num_pins: int,
     width: int,
+    num_threads: int,
 ) -> None:
     kernel = load_kernel()
 
@@ -57,7 +58,7 @@ def evaluate(
     p_step2 = np.zeros(num_pins)
     arena_a = np.zeros(num_rows * width)
     arena_s = np.zeros(num_rows * width)
-    scratch = np.zeros(4 * num_rows)
+    scratch = np.zeros(4 * num_rows * num_threads)
 
     kernel(
         num_rows,
@@ -96,4 +97,5 @@ def evaluate(
         arena_a.ctypes.data_as(P_F64),
         arena_s.ctypes.data_as(P_F64),
         scratch.ctypes.data_as(P_F64),
+        num_threads,
     )

@@ -235,31 +235,28 @@ def test_live_kernel_detects_seeded_arity_skew():
     assert [m.kind for m in found] == ["arity"]
 
 
-def test_live_registry_covers_both_entry_points():
+def test_live_registry_has_one_entry_point():
     registry = native.kernel_abi()
-    assert set(registry) == {
-        native.KERNEL_FUNCTION,
-        native.KERNEL_FUNCTION_MT,
-    }
-    # The MT entry is the serial signature plus the thread count.
-    mt_argtypes, mt_restype = registry[native.KERNEL_FUNCTION_MT]
-    assert mt_argtypes[:-1] == native.kernel_argtypes()
-    assert mt_argtypes[-1] is ctypes.c_int64
-    assert mt_restype is native.KERNEL_RESTYPE
+    assert list(registry) == [native.KERNEL_FUNCTION] == ["sta_eval_gates_mt"]
+    # The signature ends with the worker count.
+    argtypes, restype = registry[native.KERNEL_FUNCTION]
+    assert argtypes == native.kernel_argtypes()
+    assert argtypes[-1] is ctypes.c_int64
+    assert restype is native.KERNEL_RESTYPE
 
 
 def test_live_mt_kernel_detects_seeded_skew():
-    # Corrupt the trailing num_threads argument of the MT declaration:
-    # the registry-aware checker must localize the skew to that entry.
-    argtypes = native.kernel_argtypes_mt()
+    # Corrupt the trailing num_threads argument: the registry-aware
+    # checker must localize the skew to that parameter.
+    argtypes = native.kernel_argtypes()
     argtypes[-1] = ctypes.c_int32  # C says int64_t
     found = check_c_abi(
-        function=native.KERNEL_FUNCTION_MT,
+        function=native.KERNEL_FUNCTION,
         argtypes=argtypes,
         restype=native.KERNEL_RESTYPE,
     )
     assert [(m.function, m.kind, m.index) for m in found] == [
-        (native.KERNEL_FUNCTION_MT, "param", len(argtypes) - 1)
+        (native.KERNEL_FUNCTION, "param", len(argtypes) - 1)
     ]
 
 
@@ -272,7 +269,7 @@ def test_live_unknown_function_reported_not_raised():
 def test_missing_source_reported_not_raised(tmp_path):
     found = check_c_abi(
         source_path=tmp_path / "gone.c",
-        function="sta_eval_gates",
+        function=native.KERNEL_FUNCTION,
     )
     assert [m.kind for m in found] == ["missing-function"]
     assert "cannot read" in found[0].message

@@ -75,8 +75,8 @@ def test_native_bad_fixture_reports_each_failure_mode_distinctly():
         assert violation.path.endswith("shape_native_bad.py")
         assert violation.chain, "expected a chain to the call site"
     lines = {v.message.split("'")[1]: v.line for v in too_small}
-    assert lines["g_bd"] == 43
-    assert lines["scratch"] == 56
+    assert lines["g_bd"] == 44
+    assert lines["scratch"] == 57
 
 
 # -- live tree --------------------------------------------------------
@@ -86,7 +86,7 @@ def test_live_tree_has_only_the_hand_proven_pin_obligations():
     model = ProjectModel.from_paths([SRC_TIMING])
     found = check_shapes(model)
     buffer_findings = [v for v in found if v.rule_id == BUFFER_RULE_ID]
-    assert len(buffer_findings) == 6
+    assert len(buffer_findings) == 3
     for violation in buffer_findings:
         # Each is the distinct "refuse to guess" report for a pin-table
         # argument, covered by a justified suppression in compiled.py
@@ -149,8 +149,7 @@ def test_shrinking_an_arena_by_one_slot_fails_shape002(tmp_path):
         for v in found
         if "cannot prove" in v.message and "'arena_a'" in v.message
     ]
-    # Both kernel variants consume arena_a, so both proofs must fail.
-    assert len(hits) == 2
+    assert len(hits) == 1
     assert all(v.line == line for v in hits)
 
 
@@ -165,4 +164,4 @@ def test_dropping_an_assert_pin_fails_the_gate_table_proof(tmp_path):
         for v in found
         if "cannot prove" in v.message and "'g_bd'" in v.message
     ]
-    assert len(hits) == 2, "unpinned g_bd must fail for both variants"
+    assert len(hits) == 1, "unpinned g_bd must fail the proof"

@@ -155,6 +155,31 @@ class TestKernelBuildFailure:
                 AnalysisRequest(circuit="c17", num_samples=16, seed=10)
             ).result(timeout_s=60.0).ok
 
+    def test_generation_failure_is_contained_to_its_batch(self, monkeypatch):
+        # One worker: if a sample-generation error escaped the batch, it
+        # would kill the only worker and the follow-up would never run.
+        service, _ = _tiny_service(num_workers=1)
+        with service:
+            generator = service.warm_up("c17").kle_generator
+            real_generate = generator.generate
+            calls = []
+
+            def generate_once_failing(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 1:
+                    raise MemoryError("injected generation failure")
+                return real_generate(*args, **kwargs)
+
+            monkeypatch.setattr(generator, "generate", generate_once_failing)
+            failed = service.submit(
+                AnalysisRequest(circuit="c17", num_samples=16, seed=11)
+            ).result(timeout_s=20.0)
+            assert failed.status is RequestStatus.FAILED
+            assert "MemoryError" in (failed.error or "")
+            assert service.submit(
+                AnalysisRequest(circuit="c17", num_samples=16, seed=12)
+            ).result(timeout_s=20.0).ok
+
 
 class TestAdmissionBackpressure:
     def test_queue_full_rejects_then_drains_once_started(self):

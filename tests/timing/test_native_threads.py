@@ -4,14 +4,12 @@ Three layers are pinned here.  The *environment contract*:
 ``REPRO_NATIVE_THREADS`` parses as documented (unset → serial, ``auto``
 → all cores, garbage → a typed error rather than a silent serial run).
 The *capability probe*: ``REPRO_NATIVE_THREAD_BACKEND`` pins each
-backend, and the ``none`` backend still exports a working ``_mt`` entry
-point (sequential lane sweep).  The *determinism gate*: the tentpole
+backend, and the ``none`` backend still exports a working entry point
+(sequential lane sweep).  The *determinism gate*: the central
 claim that thread count never changes a single bit of output — compiled
 runs at 1, 2 and 3 workers over an odd sample count must be
 ``np.array_equal``, not merely close.
 """
-
-import ctypes
 
 import numpy as np
 import pytest
@@ -118,13 +116,6 @@ class TestThreadBackend:
         assert info["thread_backend"] in ("openmp", "pthreads", "none")
         assert info["threads"] >= 1
 
-    def test_mt_abi_registry(self):
-        registry = native.kernel_abi()
-        argtypes, restype = registry[native.KERNEL_FUNCTION_MT]
-        assert argtypes == native.kernel_argtypes_mt()
-        assert argtypes[-1] is ctypes.c_int64
-        assert restype is None
-
 
 # ----------------------------------------------------------------------
 # Bitwise determinism across thread counts.
@@ -141,7 +132,7 @@ class TestBitwiseDeterminism:
         )
 
     def test_threads_never_change_a_bit(self, engine):
-        if native.load_kernel_mt() is None:
+        if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, self.NUM_SAMPLES)
         base = self._run(engine, samples, 1)
@@ -153,7 +144,7 @@ class TestBitwiseDeterminism:
                 assert np.array_equal(run.end_arrivals[net], values)
 
     def test_more_threads_than_lanes_is_bitwise_too(self, engine):
-        if native.load_kernel_mt() is None:
+        if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, 3)
         base = self._run(engine, samples, 1)
@@ -161,12 +152,12 @@ class TestBitwiseDeterminism:
         assert np.array_equal(base.worst_delay, wide.worst_delay)
 
     def test_none_backend_mt_entry_is_bitwise(self, engine, monkeypatch):
-        # Toolchains without OpenMP or pthreads still get a working _mt
+        # Toolchains without OpenMP or pthreads still get a working
         # entry point: the sequential lane-range sweep.
         monkeypatch.setenv("REPRO_NATIVE_THREAD_BACKEND", "none")
         monkeypatch.setattr(native, "_cached", None)
         monkeypatch.setattr(native, "_cached_key", None)
-        if native.load_kernel_mt() is None:
+        if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, 65)
         base = self._run(engine, samples, 1)
@@ -174,7 +165,7 @@ class TestBitwiseDeterminism:
         assert np.array_equal(base.worst_delay, run.worst_delay)
 
     def test_env_and_api_paths_agree(self, engine, monkeypatch):
-        if native.load_kernel_mt() is None:
+        if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, 65)
         explicit = self._run(engine, samples, 2)
@@ -183,7 +174,7 @@ class TestBitwiseDeterminism:
         assert np.array_equal(explicit.worst_delay, via_env.worst_delay)
 
     def test_chunked_threaded_run_is_bitwise(self, engine):
-        if native.load_kernel_mt() is None:
+        if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, 101)
         base = self._run(engine, samples, 1)

@@ -245,6 +245,83 @@ def test_chunked_wire_variation_run(wire_harness):
     assert run.sta.std_worst_delay() > 0.0
 
 
+def _wire_seed(seed):
+    """The wire stream's seed: the flow seed shifted twice."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.spawn(1)[0].spawn(1)[0]
+    return seed + 2 * 0x9E3779B9
+
+
+def _explicit_wire_flow(harness, flow, num_samples, seed, chunk_size):
+    """The wire flow spelled out: generate, wire draws, ``engine.run``.
+
+    One-shot runs hand the raw seed to one ``generate()`` and derive the
+    wire seed afterwards; chunked runs thread one generator per stream
+    through per-chunk calls.
+    """
+    from repro.field.sampling import CholeskySampleGenerator, KLESampleGenerator
+    from repro.timing.ssta import StreamingSTAResult
+
+    kernel = next(iter(harness.kernels.values()))
+    kle = next(iter(harness.kles.values()))
+    keys = list(harness.wire_sigma)
+    if flow == "kle":
+        generator = harness.kle_generator
+        wire_generator = KLESampleGenerator({k: kle for k in keys}, r=harness.r)
+    else:
+        generator = harness.reference_generator
+        wire_generator = CholeskySampleGenerator({k: kernel for k in keys})
+    net_locations = harness.engine.net_driver_locations()
+
+    def run_chunk(rows, sample_seed, wire_seed):
+        samples = generator.generate(
+            harness.gate_locations, rows, seed=sample_seed
+        ).samples
+        if wire_seed is None:
+            wire_seed = _wire_seed(sample_seed)
+        wires = wire_generator.generate(net_locations, rows, seed=wire_seed)
+        scales = {
+            k: np.clip(1.0 + s * wires.samples[k], 0.05, None)
+            for k, s in harness.wire_sigma.items()
+        }
+        return harness.engine.run(samples, wire_scales=scales)
+
+    if chunk_size is None:
+        return run_chunk(num_samples, seed, None)
+    rng = np.random.default_rng(seed)
+    wire_rng = np.random.default_rng(_wire_seed(seed))
+    moments = StreamingSTAResult()
+    for start in range(0, num_samples, chunk_size):
+        rows = min(chunk_size, num_samples - start)
+        moments.update(run_chunk(rows, rng, wire_rng))
+    return moments
+
+
+@pytest.mark.parametrize("flow", ["kle", "reference"])
+@pytest.mark.parametrize("chunk_size", [None, 20])
+@pytest.mark.parametrize("seed_kind", ["int", "seed_sequence"])
+def test_wire_flow_seed_policy_is_pinned(wire_harness, flow, chunk_size, seed_kind):
+    """``run_kle``/``run_reference`` with wires equal the explicit loop bitwise."""
+
+    def seed():
+        if seed_kind == "int":
+            return 4242
+        return np.random.SeedSequence(4242)
+
+    run = wire_harness.run_kle if flow == "kle" else wire_harness.run_reference
+    served = run(50, seed=seed(), chunk_size=chunk_size).sta
+    explicit = _explicit_wire_flow(wire_harness, flow, 50, seed(), chunk_size)
+    assert served.num_samples == explicit.num_samples == 50
+    if chunk_size is None:
+        assert np.array_equal(served.worst_delay, explicit.worst_delay)
+        for net, values in explicit.end_arrivals.items():
+            assert np.array_equal(served.end_arrivals[net], values)
+    else:
+        assert served.mean_worst_delay() == explicit.mean_worst_delay()
+        assert served.std_worst_delay() == explicit.std_worst_delay()
+        assert served.output_sigma() == explicit.output_sigma()
+
+
 def test_engine_parameter_forwarded(c880, c880_placement, gaussian_kernel, gaussian_kle):
     harness = MonteCarloSSTA(
         c880, c880_placement, gaussian_kernel, gaussian_kle, r=10,
