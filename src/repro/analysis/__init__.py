@@ -6,15 +6,17 @@ Three cooperating pieces:
   (registry, per-file visitor dispatch, ``# repro-lint:`` suppressions);
 - :mod:`repro.analysis.rules` — the project rules enforcing RNG
   discipline, cache immutability, float-comparison hygiene, exception
-  hygiene, cache-key purity and the strict-typing gate, backed by the
-  whole-program determinism provers (:mod:`repro.analysis.seedflow`
+  hygiene, cache-key purity and hot-loop allocation churn, backed by
+  the whole-program determinism provers (:mod:`repro.analysis.seedflow`
   seed-flow taint, :mod:`repro.analysis.cachekey` cache-key
-  completeness, :mod:`repro.analysis.locks` lock discipline, plus the
-  earlier dataflow/concurrency passes);
+  completeness, :mod:`repro.analysis.locks` lock discipline and
+  :mod:`repro.analysis.concurrency` process-pool safety);
 - :mod:`repro.analysis.cabi` — the C-ABI cross-checker that parses the
   exported prototypes in ``repro/timing/sta_kernel.c`` and verifies the
   ctypes ``argtypes``/``restype`` declaration in
-  :mod:`repro.timing.native` against them.
+  :mod:`repro.timing.native` against them.  Dtype, contiguity and
+  extent of the kernel's array arguments are checked at run time, on
+  every call, by :data:`repro.timing.native.KERNEL_ARGS`.
 
 Run the whole gate with ``python -m repro.analysis`` (see
 :mod:`repro.analysis.cli`); CI's ``static-analysis`` job does exactly
@@ -25,17 +27,13 @@ from __future__ import annotations
 
 from repro.analysis.cabi import (
     ABIMismatch,
-    BufferObligation,
     CParameter,
     CPrototype,
-    KernelLoopBound,
     UnsupportedDeclarationError,
     check_c_abi,
     check_function,
     ctype_for,
     describe_ctype,
-    kernel_buffer_obligations,
-    kernel_loop_bounds,
     parse_c_prototypes,
 )
 from repro.analysis.engine import (
@@ -59,16 +57,9 @@ from repro.analysis.engine import (
     rule_catalog,
     stale_suppressions,
 )
-from repro.analysis.symbolic import (
-    Poly,
-    SymbolicError,
-    parse_expr,
-    poly_lower_bound,
-    prove_ge,
-)
 
 # Importing the rules module registers every per-file project rule;
-# importing dataflow/concurrency/seedflow/cachekey/locks registers the
+# importing concurrency/seedflow/cachekey/locks registers the
 # whole-program check ids.
 from repro.analysis import rules as rules  # noqa: F401
 from repro.analysis.cachekey import KEY_RULE_ID, check_cache_keys
@@ -86,20 +77,6 @@ from repro.analysis.seedflow import (
     SEED_FORK_RULE_ID,
     SEED_SOURCE_RULE_ID,
     check_seed_flow,
-)
-from repro.analysis.dataflow import (
-    ArrayFact,
-    DTypeParam,
-    FunctionSummary,
-    NATIVE_RULE_ID,
-    NativeBoundaryChecker,
-    check_native_boundary,
-)
-from repro.analysis.shapes import (
-    BUFFER_RULE_ID,
-    SHAPE_RULE_ID,
-    ShapeChecker,
-    check_shapes,
 )
 from repro.analysis.gate import (
     GateReport,
@@ -119,39 +96,27 @@ from repro.analysis.reporters import format_human, format_json, report_payload
 
 __all__ = [
     "ABIMismatch",
-    "ArrayFact",
-    "BUFFER_RULE_ID",
-    "BufferObligation",
     "CParameter",
     "CPrototype",
     "ClassInfo",
-    "DTypeParam",
     "FileContext",
     "FileReport",
     "FunctionInfo",
-    "FunctionSummary",
     "GLOBAL_RULE_ID",
     "GUARD_RULE_ID",
     "GateReport",
     "KEY_RULE_ID",
-    "KernelLoopBound",
     "LINT_CACHE_NAME",
     "LINT_RULE_ID",
     "ModuleInfo",
-    "NATIVE_RULE_ID",
-    "NativeBoundaryChecker",
     "ORDER_RULE_ID",
-    "Poly",
     "ProjectModel",
     "RNG_RULE_ID",
     "Resolver",
     "Rule",
     "SEED_FORK_RULE_ID",
     "SEED_SOURCE_RULE_ID",
-    "SHAPE_RULE_ID",
     "SYNTAX_ERROR_RULE_ID",
-    "ShapeChecker",
-    "SymbolicError",
     "UnsupportedDeclarationError",
     "Violation",
     "all_rules",
@@ -167,23 +132,16 @@ __all__ = [
     "check_concurrency",
     "check_function",
     "check_lock_discipline",
-    "check_native_boundary",
     "check_seed_flow",
-    "check_shapes",
     "ctype_for",
     "describe_ctype",
     "format_human",
     "format_json",
     "iter_python_files",
-    "kernel_buffer_obligations",
-    "kernel_loop_bounds",
     "known_rule_ids",
     "main",
     "parse_c_prototypes",
-    "parse_expr",
-    "poly_lower_bound",
     "project_check_ids",
-    "prove_ge",
     "register_project_check",
     "register_rule",
     "report_payload",

@@ -1,8 +1,8 @@
 """``python -m repro.analysis`` — the repo's static-analysis gate.
 
 Runs the per-file lint rules *and* the whole-program analyses (project
-model + array-contract dataflow + concurrency safety + seed-flow taint
-+ cache-key completeness + lock discipline + stale suppressions) over
+model + concurrency safety + seed-flow taint + cache-key completeness
++ lock discipline + stale suppressions) over
 the given paths (default: ``src/repro``) and, unless
 ``--no-cabi`` is passed, cross-checks the native kernel's C ABI against
 its ctypes declaration.  Exit status:
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-project",
         action="store_true",
         help=(
-            "skip the whole-program analyses (dataflow, concurrency, "
-            "stale suppressions); per-file rules only"
+            "skip the whole-program analyses (concurrency, seed flow, "
+            "cache keys, locks, stale suppressions); per-file rules only"
         ),
     )
     parser.add_argument(

@@ -240,8 +240,8 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-#: Metadata for whole-program checks (project model / dataflow / call
-#: graph) that run in :mod:`repro.analysis.gate` rather than through the
+#: Metadata for whole-program checks (project model / call graph) that
+#: run in :mod:`repro.analysis.gate` rather than through the
 #: per-file visitor dispatch.  Registered here so the rule catalog,
 #: ``--select`` validation and suppression bookkeeping treat them
 #: exactly like per-file rules.

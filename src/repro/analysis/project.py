@@ -1,13 +1,13 @@
 """Whole-program project model: modules, symbols, and call resolution.
 
 The per-file rule engine (:mod:`repro.analysis.engine`) sees one AST at
-a time, so it cannot answer the questions the repo's native boundary
-and process-pool fan-out raise: *which* function does ``pool.submit``
-actually run, and what does a value passed three helpers deep look like
-when it reaches ``ctypes``?  This module builds the shared
-whole-program substrate those analyses
-(:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.concurrency`)
-reason over:
+a time, so it cannot answer the questions the repo's process-pool
+fan-out, seed threading and locking raise: *which* function does
+``pool.submit`` actually run, and where does a seed passed three
+helpers deep come from?  This module builds the shared whole-program
+substrate those analyses (:mod:`repro.analysis.concurrency`,
+:mod:`repro.analysis.seedflow`, :mod:`repro.analysis.cachekey`,
+:mod:`repro.analysis.locks`) reason over:
 
 - a **module table** mapping dotted module names to parsed sources,
   with per-module import alias maps (``np`` → ``numpy``,
@@ -266,15 +266,6 @@ class ProjectModel:
         if target in self.classes:
             return target
         return None
-
-    def owner_class(self, info: FunctionInfo) -> Optional[str]:
-        """The class whose ``self`` ``info`` sees, through nested defs."""
-        current: Optional[FunctionInfo] = info
-        while current is not None and current.class_qualname is None:
-            if current.enclosing is None:
-                return None
-            current = self.functions.get(current.enclosing)
-        return current.class_qualname if current is not None else None
 
     def methods_named(self, name: str) -> List[FunctionInfo]:
         """Every method in the project with bare name ``name``.

@@ -11,7 +11,6 @@ REPRO-FLOAT001 no ``==`` / ``!=`` against float literals
 REPRO-DEF001   no mutable default arguments
 REPRO-EXC001   no bare or blanket ``except`` without re-raise
 REPRO-TIME001  no wall-clock reads inside cache-key/hash construction
-REPRO-TYPE001  public functions carry complete type annotations
 REPRO-PERF001  no per-iteration array allocation in hot-module loops
 ========== ==========================================================
 
@@ -38,7 +37,6 @@ __all__ = [
     "BroadExceptRule",
     "CacheMutationRule",
     "FloatEqualityRule",
-    "IncompleteAnnotationsRule",
     "LegacyNumpyRandomRule",
     "LoopAllocationRule",
     "MutableDefaultRule",
@@ -675,63 +673,5 @@ class LoopAllocationRule(Rule):
                 f"{loop.lineno}); hoist the allocation and reuse the "
                 f"buffer, or suppress with a justification if this loop "
                 f"is not on the per-sample hot path",
-            )
-        ]
-
-
-# ----------------------------------------------------------------------
-# Typing gate
-# ----------------------------------------------------------------------
-@register_rule
-class IncompleteAnnotationsRule(Rule):
-    """Require complete signatures on functions and methods.
-
-    The in-repo half of the strict typing gate: mypy (run in CI, where
-    it can be installed) enforces body-level consistency, while this
-    rule keeps signature completeness checkable with zero dependencies
-    so `python -m repro.analysis` alone blocks regressions.
-    """
-
-    id = "REPRO-TYPE001"
-    title = "function signature missing type annotations"
-    rationale = """src/repro ships a py.typed marker and is mypy-checked in
-    strict-ish mode; an unannotated signature silently downgrades every
-    caller's checking to Any.  Annotate all parameters and the return
-    type (``__init__`` may omit the return; *args/**kwargs need
-    annotations too)."""
-    example = "def solve(kernel, mesh, r):        # no annotations at all"
-    interests = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Violation]:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        args = node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        missing: List[str] = []
-        for index, arg in enumerate(positional):
-            if index == 0 and arg.arg in ("self", "cls"):
-                continue
-            if arg.annotation is None:
-                missing.append(arg.arg)
-        missing.extend(
-            arg.arg for arg in args.kwonlyargs if arg.annotation is None
-        )
-        if args.vararg is not None and args.vararg.annotation is None:
-            missing.append("*" + args.vararg.arg)
-        if args.kwarg is not None and args.kwarg.annotation is None:
-            missing.append("**" + args.kwarg.arg)
-        needs_return = node.returns is None and node.name != "__init__"
-        if not missing and not needs_return:
-            return ()
-        parts: List[str] = []
-        if missing:
-            parts.append(f"unannotated parameter(s) {', '.join(missing)}")
-        if needs_return:
-            parts.append("missing return annotation")
-        return [
-            self.violation(
-                ctx,
-                node,
-                f"{node.name}() has {' and '.join(parts)}; src/repro is "
-                f"type-checked — complete the signature",
             )
         ]

@@ -654,28 +654,23 @@ class _SeedScanner:
         )
 
 
-def _scan_all(
-    model: ProjectModel, summaries: Dict[str, _Summary]
-) -> Dict[str, _SeedScanner]:
-    scanners: Dict[str, _SeedScanner] = {}
-    for info in model.iter_functions():
-        module = model.module_of(info)
-        scanner = _SeedScanner(
-            model, Resolver(model, module), module, info, summaries
-        )
-        scanner.run()
-        scanners[info.qualname] = scanner
-    return scanners
-
-
-def check_seed_flow(model: ProjectModel) -> List[Violation]:
-    """Run REPRO-SEED001/002 over a project model."""
+def _solve(
+    model: ProjectModel,
+) -> Tuple[Dict[str, _Summary], Dict[str, _SeedScanner]]:
+    """Iterate per-function scans until the summaries reach a fixpoint."""
     summaries: Dict[str, _Summary] = {
         qualname: _Summary() for qualname in model.functions
     }
     scanners: Dict[str, _SeedScanner] = {}
     for _ in range(8):
-        scanners = _scan_all(model, summaries)
+        scanners = {}
+        for info in model.iter_functions():
+            module = model.module_of(info)
+            scanner = _SeedScanner(
+                model, Resolver(model, module), module, info, summaries
+            )
+            scanner.run()
+            scanners[info.qualname] = scanner
         changed = False
         for qualname, scanner in scanners.items():
             if scanner.summary != summaries[qualname]:
@@ -683,7 +678,12 @@ def check_seed_flow(model: ProjectModel) -> List[Violation]:
                 changed = True
         if not changed:
             break
+    return summaries, scanners
 
+
+def check_seed_flow(model: ProjectModel) -> List[Violation]:
+    """Run REPRO-SEED001/002 over a project model."""
+    _, scanners = _solve(model)
     violations: List[Violation] = []
     seen: Set[Tuple[str, int, int, str]] = set()
     for scanner in scanners.values():
@@ -710,25 +710,11 @@ def sink_sites(model: ProjectModel) -> List[Tuple[str, int]]:
     (an analyzer that no longer sees a package) would otherwise look
     exactly like a clean run.
     """
-    summaries: Dict[str, _Summary] = {
-        qualname: _Summary() for qualname in model.functions
-    }
-    for _ in range(8):
-        scanners = _scan_all(model, summaries)
-        changed = False
-        for qualname, scanner in scanners.items():
-            if scanner.summary != summaries[qualname]:
-                summaries[qualname] = scanner.summary
-                changed = True
-        if not changed:
-            break
-
+    summaries, scanners = _solve(model)
     sites: Set[Tuple[str, int]] = set()
     for info in model.iter_functions():
         module = model.module_of(info)
-        scanner = _SeedScanner(
-            model, Resolver(model, module), module, info, summaries
-        )
+        scanner = scanners[info.qualname]
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue

@@ -72,7 +72,7 @@ chunked and unchunked compiled runs are bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -453,22 +453,6 @@ class CompiledTimingProgram:
             [lv.pin_wire_delay for lv in levels], np.float64
         )
         self._k_p_step2 = _cat([lv.pin_step2 for lv in levels], np.float64)
-        # Every per-gate table must have exactly one entry per scheduled
-        # gate: the native kernel walks them with a single gate counter
-        # bounded by num_gates == _k_fanin.size, so a shorter table is an
-        # out-of-bounds read.  REPRO-SHAPE002 discharges the g_* buffer
-        # obligations by unifying these sizes with the bound.
-        assert self._k_out_slot.size == self._k_fanin.size
-        assert self._k_out_col.size == self._k_fanin.size
-        assert self._k_gid.size == self._k_fanin.size
-        assert self._k_bd.size == self._k_fanin.size
-        assert self._k_dsl.size == self._k_fanin.size
-        assert self._k_bs.size == self._k_fanin.size
-        assert self._k_ssl.size == self._k_fanin.size
-        assert self._k_k1.size == self._k_fanin.size
-        assert self._k_k2.size == self._k_fanin.size
-        assert self._k_m1.size == self._k_fanin.size
-        assert self._k_m2.size == self._k_fanin.size
         #: Whether the most recent :meth:`execute` used the native
         #: kernel (for benchmark reporting); ``None`` before any run.
         self.last_run_native: Optional[bool] = None
@@ -479,33 +463,16 @@ class CompiledTimingProgram:
         self._dff_d_load = packed.d_load[dff_gate_ids]
         self._dff_s0 = packed.s0[dff_gate_ids]
         self._dff_s_load = packed.s_load[dff_gate_ids]
-        # The four sensitivity rows and the two nominal rows go straight
-        # to the native kernel as POINTER(c_double) arguments, so their
-        # float64/C-contiguous contract is pinned here at pack time
-        # (REPRO-NATIVE001 proves it through to the ctypes boundary).
-        self._dff_k1 = np.ascontiguousarray(
-            packed.k1[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_k2 = np.ascontiguousarray(
-            packed.k2[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_m1 = np.ascontiguousarray(
-            packed.m1[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_m2 = np.ascontiguousarray(
-            packed.m2[dff_gate_ids], dtype=np.float64
-        )
+        self._dff_k1 = packed.k1[dff_gate_ids]
+        self._dff_k2 = packed.k2[dff_gate_ids]
+        self._dff_m1 = packed.m1[dff_gate_ids]
+        self._dff_m2 = packed.m2[dff_gate_ids]
         self._dff_total_cap = pw.total_cap_ff[dff_out_cols]
         self._dff_pin_cap = pw.pin_cap_ff[dff_out_cols]
         self._dff_wire_cap = pw.wire_cap_ff[dff_out_cols]
-        self._dff_dnom = np.ascontiguousarray(
-            self._dff_d0 + self._dff_d_load * self._dff_total_cap,
-            dtype=np.float64,
-        )
-        self._dff_snom = np.ascontiguousarray(
-            self._dff_s0 + self._dff_s_load * self._dff_total_cap,
-            dtype=np.float64,
-        )
+        dff_cap = self._dff_total_cap
+        self._dff_dnom = self._dff_d0 + self._dff_d_load * dff_cap
+        self._dff_snom = self._dff_s0 + self._dff_s_load * dff_cap
         # Unique end nets, first-appearance order (matches the reference
         # result dict, which deduplicates implicitly).
         unique_ends = list(dict.fromkeys(levelized.end_nets))
@@ -778,81 +745,59 @@ class CompiledTimingProgram:
         kernel workers (one runs inline on this thread); each worker
         gets a private ``4 × B`` scratch block inside ``kscratch``.
         Per-lane arithmetic is identical under every partition, so
-        results are bitwise independent of ``threads``.
+        results are bitwise independent of ``threads``.  The arguments
+        are checked against :data:`~repro.timing.native.KERNEL_ARGS` once
+        here and per block only for ``num_rows`` and ``u``.
         """
-        import ctypes
-
         width = self.num_nets if keep_all else self.num_slots
-        num_gates = self._packed_models.num_gates
         block = self._native_block_size(num_samples, width, threads)
         arena_a = np.empty(width * block)
         arena_s = np.empty(width * block)
         kscratch = np.empty(4 * block * threads)
-
         pi_idx = self._pi_cols if keep_all else self._pi_slots
         dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
-        p_slot = self._k_p_col if keep_all else self._k_p_slot
-        out_slot = self._k_out_col if keep_all else self._k_out_slot
-
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-        p_i64 = ctypes.POINTER(ctypes.c_int64)
-
-        def pd(a: np.ndarray) -> Any:
-            return a.ctypes.data_as(p_f64)
-
-        def pi(a: np.ndarray) -> Any:
-            return a.ctypes.data_as(p_i64)
+        call = native.BoundKernel(
+            kernel,
+            num_rows=block,
+            num_model_gates=self._packed_models.num_gates,
+            input_slew=input_slew_ps,
+            pi_slots=pi_idx,
+            num_pi=pi_idx.size,
+            dff_slots=dff_idx,
+            dff_gids=self._dff_gate_ids,
+            dff_dnom=self._dff_dnom,
+            dff_snom=self._dff_snom,
+            dff_k1=self._dff_k1,
+            dff_k2=self._dff_k2,
+            dff_m1=self._dff_m1,
+            dff_m2=self._dff_m2,
+            num_dff=dff_idx.size,
+            num_gates=self._k_fanin.size,
+            g_fanin=self._k_fanin,
+            g_out_slot=self._k_out_col if keep_all else self._k_out_slot,
+            g_id=self._k_gid,
+            g_bd=self._k_bd,
+            g_dsl=self._k_dsl,
+            g_bs=self._k_bs,
+            g_ssl=self._k_ssl,
+            g_k1=self._k_k1,
+            g_k2=self._k_k2,
+            g_m1=self._k_m1,
+            g_m2=self._k_m2,
+            p_slot=self._k_p_col if keep_all else self._k_p_slot,
+            p_wd=self._k_p_wd,
+            p_step2=self._k_p_step2,
+            arena_a=arena_a,
+            arena_s=arena_s,
+            scratch=kscratch,
+            num_threads=threads,
+        )
 
         def evaluate(
             start: int, stop: int, u: Optional[np.ndarray]
         ) -> np.ndarray:
             rows = stop - start
-            # A no-op for `_drive`'s projection buffer; it states the
-            # kernel's contract here, where the pointer is taken.
-            ku = None if u is None else np.ascontiguousarray(u, np.float64)
-            kernel(
-                rows,
-                num_gates,
-                pd(ku) if ku is not None else None,
-                input_slew_ps,
-                pi(pi_idx),
-                pi_idx.size,
-                pi(dff_idx),
-                pi(self._dff_gate_ids),
-                pd(self._dff_dnom),
-                pd(self._dff_snom),
-                pd(self._dff_k1),
-                pd(self._dff_k2),
-                pd(self._dff_m1),
-                pd(self._dff_m2),
-                dff_idx.size,
-                self._k_fanin.size,
-                pi(self._k_fanin),
-                pi(out_slot),
-                pi(self._k_gid),
-                pd(self._k_bd),
-                pd(self._k_dsl),
-                pd(self._k_bs),
-                pd(self._k_ssl),
-                pd(self._k_k1),
-                pd(self._k_k2),
-                pd(self._k_m1),
-                pd(self._k_m2),
-                # The kernel walks the pin tables with a running counter
-                # `p` (reset per gate, bounded by the per-gate fanin it
-                # just read), so cabi.py cannot derive an affine extent.
-                # Hand proof: `p` advances once per pin visit and the
-                # fanin table is built from the same per-level pin_gate
-                # arrays the pin tables concatenate, so the final value
-                # of `p` equals each table's length by construction.
-                pi(p_slot),  # repro-lint: disable=REPRO-SHAPE002
-                pd(self._k_p_wd),  # repro-lint: disable=REPRO-SHAPE002
-                pd(self._k_p_step2),  # repro-lint: disable=REPRO-SHAPE002
-                pd(arena_a),
-                pd(arena_s),
-                pd(kscratch),
-                threads,
-            )
+            call(rows, u)
             return arena_a[: width * rows].reshape(width, rows)
 
         return self._drive(

@@ -31,6 +31,14 @@ positive integer → that many; anything else raises ``ValueError``) and
 Per-lane arithmetic is identical for every lane partition, so results
 are bitwise independent of the thread count.
 
+Argument contract: :data:`KERNEL_ARGS` declares every C parameter once
+— name, ctypes type and, for pointers, the minimum extent as a function
+of the other arguments.  :class:`BoundKernel` checks dtype, contiguity,
+extent, writeability and model-id bounds against it before the kernel
+is entered and
+raises :class:`KernelArgumentError` naming the argument; the ctypes
+``argtypes`` are derived from the same table.
+
 Setting ``REPRO_SANITIZE=ubsan`` (or ``asan``, comma-separable) switches
 to an instrumented build — ``-O1 -g -fsanitize=... -fno-sanitize-
 recover=all`` — cached under its own key so sanitizer objects never
@@ -47,8 +55,22 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 _SOURCE = Path(__file__).with_name("sta_kernel.c")
 _CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
@@ -325,32 +347,284 @@ def kernel_source_path() -> Path:
     return _SOURCE
 
 
+class KernelArgumentError(ValueError):
+    """A kernel argument breaks :data:`KERNEL_ARGS`; raised before the call.
+
+    ``argument`` names the offending C parameter.
+    """
+
+    def __init__(self, argument: str, problem: str):
+        super().__init__(
+            f"{KERNEL_FUNCTION} argument {argument!r}: {problem}"
+        )
+        self.argument = argument
+        self.problem = problem
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, str]]:
+        # Survives pickling across process pools despite the two-field
+        # constructor.
+        return (type(self), (self.argument, self.problem))
+
+
+class _Sizes:
+    """What the extent rules read: the arguments plus two shared sums.
+
+    ``num_pins`` and ``top_slot`` are each computed once per check, on
+    first use — which, in C order, comes after the tables they reduce
+    have passed their own rows.
+    """
+
+    def __init__(self, args: Mapping[str, Any]):
+        self.args = args
+
+    def count(self, name: str) -> int:
+        return int(self.args[name])
+
+    @cached_property
+    def num_pins(self) -> int:
+        """Pins the kernel's running pin counter walks: ``Σ g_fanin``."""
+        return int(self.args["g_fanin"][: self.count("num_gates")].sum())
+
+    @cached_property
+    def top_slot(self) -> int:
+        """The largest arena slot any index table names (-1 if none)."""
+        top = -1
+        for table, count in (
+            ("pi_slots", self.count("num_pi")),
+            ("dff_slots", self.count("num_dff")),
+            ("g_out_slot", self.count("num_gates")),
+            ("p_slot", self.num_pins),
+        ):
+            if count > 0:
+                top = max(top, int(self.args[table][:count].max()))
+        return top
+
+
+#: An extent rule: the bound arguments → an element count.
+Extent = Callable[[_Sizes], int]
+
+
+@dataclass(frozen=True)
+class KernelArg:
+    """One C parameter of the kernel: name, ctypes type, minimum extent.
+
+    Scalars have no ``extent``.  Pointer arguments must be C-contiguous
+    ndarrays of exactly the pointee dtype holding at least ``extent``
+    elements; ``nullable`` ones may be ``None`` (passed as ``NULL``) and
+    ``writeable`` ones are the kernel's outputs.  Index tables with a
+    ``limit`` must keep their first ``extent`` entries below it.
+    """
+
+    name: str
+    ctype: type
+    extent: Optional[Extent] = None
+    nullable: bool = False
+    writeable: bool = False
+    limit: Optional[Extent] = None
+
+
+def _count(name: str) -> Extent:
+    return lambda sizes: sizes.count(name)
+
+
+def _num_pins(sizes: _Sizes) -> int:
+    return sizes.num_pins
+
+
+def _arena_extent(sizes: _Sizes) -> int:
+    """``(1 + max slot index) · num_rows``: the slot-major arena size."""
+    return (sizes.top_slot + 1) * sizes.count("num_rows")
+
+
+def _u_extent(sizes: _Sizes) -> int:
+    """One ``num_model_gates``-wide projection row per sample."""
+    return sizes.count("num_rows") * sizes.count("num_model_gates")
+
+
+def _scratch_extent(sizes: _Sizes) -> int:
+    """One private ``4 · num_rows`` block per worker."""
+    return 4 * sizes.count("num_rows") * max(sizes.count("num_threads"), 1)
+
+
+_I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+_P_I64 = ctypes.POINTER(ctypes.c_int64)
+_P_F64 = ctypes.POINTER(ctypes.c_double)
+_POINTEE: Dict[type, np.dtype] = {
+    _P_I64: np.dtype(np.int64),
+    _P_F64: np.dtype(np.float64),
+}
+
+#: Pointer type → its element type (what ``from_buffer`` views).
+_ELEMENT: Dict[type, Any] = {_P_I64: _I64, _P_F64: _F64}
+#: A valid address per pointer type for zero-extent arguments.
+_UNUSED = {ctype: ctypes.byref(_ELEMENT[ctype]()) for ctype in _ELEMENT}
+
+_GATES = _count("num_gates")
+_DFFS = _count("num_dff")
+#: ``u`` rows have ``num_model_gates`` columns; model ids index them.
+_MODEL_GATES = _count("num_model_gates")
+
+#: The kernel's argument contract, one row per C parameter in C order.
+#: :func:`kernel_argtypes` is derived from it (and cross-checked
+#: against ``sta_kernel.c`` by :func:`repro.analysis.cabi.check_c_abi`);
+#: :class:`BoundKernel` checks every call against it.
+KERNEL_ARGS: Tuple[KernelArg, ...] = (
+    KernelArg("num_rows", _I64),
+    KernelArg("num_model_gates", _I64),
+    KernelArg("u", _P_F64, _u_extent, nullable=True),
+    KernelArg("input_slew", _F64),
+    KernelArg("pi_slots", _P_I64, _count("num_pi")),
+    KernelArg("num_pi", _I64),
+    KernelArg("dff_slots", _P_I64, _DFFS),
+    KernelArg("dff_gids", _P_I64, _DFFS, limit=_MODEL_GATES),
+    KernelArg("dff_dnom", _P_F64, _DFFS),
+    KernelArg("dff_snom", _P_F64, _DFFS),
+    KernelArg("dff_k1", _P_F64, _DFFS),
+    KernelArg("dff_k2", _P_F64, _DFFS),
+    KernelArg("dff_m1", _P_F64, _DFFS),
+    KernelArg("dff_m2", _P_F64, _DFFS),
+    KernelArg("num_dff", _I64),
+    KernelArg("num_gates", _I64),
+    KernelArg("g_fanin", _P_I64, _GATES),
+    KernelArg("g_out_slot", _P_I64, _GATES),
+    KernelArg("g_id", _P_I64, _GATES, limit=_MODEL_GATES),
+    KernelArg("g_bd", _P_F64, _GATES),
+    KernelArg("g_dsl", _P_F64, _GATES),
+    KernelArg("g_bs", _P_F64, _GATES),
+    KernelArg("g_ssl", _P_F64, _GATES),
+    KernelArg("g_k1", _P_F64, _GATES),
+    KernelArg("g_k2", _P_F64, _GATES),
+    KernelArg("g_m1", _P_F64, _GATES),
+    KernelArg("g_m2", _P_F64, _GATES),
+    KernelArg("p_slot", _P_I64, _num_pins),
+    KernelArg("p_wd", _P_F64, _num_pins),
+    KernelArg("p_step2", _P_F64, _num_pins),
+    KernelArg("arena_a", _P_F64, _arena_extent, writeable=True),
+    KernelArg("arena_s", _P_F64, _arena_extent, writeable=True),
+    KernelArg("scratch", _P_F64, _scratch_extent, writeable=True),
+    KernelArg("num_threads", _I64),
+)
+
+_ARG_INDEX = {arg.name: index for index, arg in enumerate(KERNEL_ARGS)}
+_ROWS = _ARG_INDEX["num_rows"]
+_U = _ARG_INDEX["u"]
+
+
+def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
+    """Validate one pointer argument; return what ctypes should receive."""
+    if value is None:
+        if arg.nullable:
+            return None
+        raise KernelArgumentError(arg.name, "NULL is not allowed")
+    if not isinstance(value, np.ndarray):
+        raise KernelArgumentError(
+            arg.name, f"expected an ndarray, got {type(value).__name__}"
+        )
+    dtype = _POINTEE[arg.ctype]
+    if value.dtype != dtype:
+        raise KernelArgumentError(
+            arg.name, f"dtype {value.dtype} is not {dtype}"
+        )
+    if not value.flags.c_contiguous:
+        raise KernelArgumentError(arg.name, "array is not C-contiguous")
+    extent = arg.extent(sizes) if arg.extent is not None else 0
+    if value.size < extent:
+        raise KernelArgumentError(
+            arg.name, f"{value.size} elements < required extent {extent}"
+        )
+    if arg.limit is not None and extent > 0:
+        limit = arg.limit(sizes)
+        top = int(value[:extent].max())
+        if top >= limit:
+            raise KernelArgumentError(
+                arg.name, f"index {top} is not below {limit}"
+            )
+    if arg.writeable and not value.flags.writeable:
+        raise KernelArgumentError(arg.name, "output array is read-only")
+    if not extent:
+        # Nothing is read or written through it; any valid address does.
+        return _UNUSED[arg.ctype]
+    if value.flags.writeable:
+        # A reference into the buffer (which it keeps alive): a quarter
+        # of the cost of ``data_as``, and a bind converts 27 pointers.
+        return ctypes.byref(_ELEMENT[arg.ctype].from_buffer(value))
+    return value.ctypes.data_as(arg.ctype)
+
+
+def _checked_args(args: Mapping[str, Any]) -> List[Any]:
+    """Check a full argument mapping against :data:`KERNEL_ARGS`.
+
+    Returns the positional argument list, in C order, ready for the
+    ctypes call; raises :class:`KernelArgumentError` naming the first
+    argument that is missing or breaks its row.
+    """
+    for arg in KERNEL_ARGS:
+        if arg.name not in args:
+            raise KernelArgumentError(arg.name, "missing")
+    unknown = sorted(set(args) - set(_ARG_INDEX))
+    if unknown:
+        raise KernelArgumentError(unknown[0], "not a kernel parameter")
+    sizes = _Sizes(args)
+    return [
+        args[arg.name]
+        if arg.extent is None
+        else _check_array(arg, args[arg.name], sizes)
+        for arg in KERNEL_ARGS
+    ]
+
+
+class BoundKernel:
+    """A kernel callable bound to its block-invariant arguments.
+
+    Construction checks every argument once, with ``num_rows`` as the
+    largest block the caller will run; each call then re-checks only
+    what changes per block — ``num_rows`` (at most the bound value, so
+    every extent that scales with it still holds) and ``u`` — before
+    invoking ``kernel``.  Pass every C parameter but ``u`` by name.
+    ``kernel`` may be any callable taking the C argument list, which is
+    how tests observe calls without a compiler.
+    """
+
+    def __init__(self, kernel: Callable[..., None], **args: Any):
+        self._kernel = kernel
+        self._max_rows = int(args["num_rows"])
+        self._args = _checked_args({**args, "u": None})
+        self._num_model_gates = int(args["num_model_gates"])
+
+    def __call__(self, num_rows: int, u: Optional[np.ndarray]) -> None:
+        """Run one block of ``num_rows`` samples with projection ``u``."""
+        if not 0 <= num_rows <= self._max_rows:
+            raise KernelArgumentError(
+                "num_rows",
+                f"{num_rows} is outside the bound range "
+                f"[0, {self._max_rows}]",
+            )
+        args = list(self._args)
+        args[_ROWS] = num_rows
+        args[_U] = _check_array(
+            KERNEL_ARGS[_U],
+            u,
+            _Sizes(
+                {
+                    "num_rows": num_rows,
+                    "num_model_gates": self._num_model_gates,
+                }
+            ),
+        )
+        self._kernel(*args)
+
+
 def kernel_argtypes() -> List[type]:
     """The ctypes ``argtypes`` declaration for :data:`KERNEL_FUNCTION`.
 
-    This list is the Python side of the C ABI contract with
-    ``sta_kernel.c``; :mod:`repro.analysis.cabi` cross-checks it against
-    the parsed C prototype (arity, pointer width, element dtype) so a
-    skewed edit fails the lint gate instead of corrupting memory in the
-    native hot path.  The trailing ``int64_t num_threads`` sizes the
-    worker team; ``scratch`` must hold ``4 × B × num_threads`` doubles
-    (one private block per worker).
+    Derived from :data:`KERNEL_ARGS`.  This list is the Python side of
+    the C ABI contract with ``sta_kernel.c``; :mod:`repro.analysis.cabi`
+    cross-checks it against the parsed C prototype (arity, pointer
+    width, element dtype) so a skewed edit fails the lint gate instead
+    of corrupting memory in the native hot path.
     """
-    i64 = ctypes.c_int64
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    return [
-        i64, i64, p_f64, ctypes.c_double,
-        p_i64, i64,
-        p_i64, p_i64, p_f64, p_f64, p_f64, p_f64, p_f64, p_f64, i64,
-        i64,
-        p_i64, p_i64, p_i64,
-        p_f64, p_f64, p_f64, p_f64,
-        p_f64, p_f64, p_f64, p_f64,
-        p_i64, p_f64, p_f64,
-        p_f64, p_f64, p_f64,
-        i64,
-    ]
+    return [arg.ctype for arg in KERNEL_ARGS]
 
 
 def kernel_abi() -> Dict[str, Tuple[List[type], Optional[type]]]:

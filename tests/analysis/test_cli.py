@@ -10,7 +10,7 @@ CLEAN_SOURCE = '"""Module."""\n\n\ndef f(x: int) -> int:\n    return x\n'
 BROKEN_SOURCE = (
     '"""Module."""\n'
     "import numpy as np\n\n\n"
-    "def f(x):\n"
+    "def f(x=[]):\n"
     "    np.random.seed(0)\n"
     "    return x == 0.25\n"
 )
@@ -39,7 +39,7 @@ def test_violations_exit_one(broken_tree, capsys):
     out = capsys.readouterr().out
     assert "REPRO-RNG001" in out
     assert "REPRO-FLOAT001" in out
-    assert "REPRO-TYPE001" in out
+    assert "REPRO-DEF001" in out
 
 
 def test_missing_path_is_usage_error(tmp_path, capsys):
@@ -69,7 +69,7 @@ def test_ignore_drops_rules(broken_tree, capsys):
             str(broken_tree),
             "--no-cabi",
             "--ignore",
-            "REPRO-RNG001,REPRO-FLOAT001,REPRO-TYPE001",
+            "REPRO-RNG001,REPRO-FLOAT001,REPRO-DEF001",
         ]
     )
     assert code == 0
@@ -104,7 +104,7 @@ def test_list_rules_prints_catalog(capsys):
         "REPRO-DEF001",
         "REPRO-EXC001",
         "REPRO-TIME001",
-        "REPRO-TYPE001",
+        "REPRO-PERF001",
         "REPRO-SEED001",
         "REPRO-SEED002",
         "REPRO-KEY001",
@@ -156,7 +156,6 @@ def test_list_rules_includes_project_checks(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "REPRO-NATIVE001",
         "REPRO-PAR001",
         "REPRO-PAR002",
         "REPRO-LINT001",

@@ -287,47 +287,3 @@ def test_time001_clean_on_timing_measurements():
             return result, time.time() - begun
     """
     assert hits("REPRO-TIME001", good) == []
-
-
-# ----------------------------------------------------------------------
-# REPRO-TYPE001 — annotation completeness.
-# ----------------------------------------------------------------------
-def test_type001_flags_missing_params_and_return():
-    bad = """
-        def scale(values, factor: float) -> float:
-            return values * factor
-
-        def run(a: int) :
-            return a
-
-        def collect(*args, **kwargs) -> None:
-            pass
-    """
-    found = analyze_source(
-        textwrap.dedent(bad), "fixture.py", select=["REPRO-TYPE001"]
-    )
-    assert len(found) == 3
-    assert "values" in found[0].message
-    assert "missing return annotation" in found[1].message
-    assert "*args" in found[2].message and "**kwargs" in found[2].message
-
-
-def test_type001_clean_on_complete_signatures():
-    good = """
-        from typing import Any
-
-        class Thing:
-            def __init__(self, size: int):
-                self.size = size
-
-            def grow(self, by: int = 1) -> int:
-                return self.size + by
-
-            @classmethod
-            def default(cls) -> "Thing":
-                return cls(0)
-
-        def variadic(*args: float, **kwargs: Any) -> None:
-            pass
-    """
-    assert hits("REPRO-TYPE001", good) == []

@@ -26,15 +26,17 @@ def test_rule_floor():
 
 def test_catalog_floor_including_project_checks():
     ids = {entry["id"] for entry in rule_catalog()}
-    assert len(ids) >= 19
+    assert len(ids) >= 15
     assert {
-        "REPRO-NATIVE001",
         "REPRO-PAR001",
         "REPRO-PAR002",
+        "REPRO-SEED001",
+        "REPRO-SEED002",
+        "REPRO-KEY001",
+        "REPRO-LOCK001",
+        "REPRO-LOCK002",
         "REPRO-LINT001",
         "REPRO-PERF001",
-        "REPRO-SHAPE001",
-        "REPRO-SHAPE002",
     } <= ids
 
 

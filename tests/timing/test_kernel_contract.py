@@ -1,0 +1,288 @@
+"""The native kernel's runtime argument contract (``native.KERNEL_ARGS``).
+
+Every call into ``sta_eval_gates_mt`` is checked against one declarative
+table: dtype, C-contiguity, minimum extent and writeability of each
+pointer argument.  Each mutation below breaks one row and must raise
+:class:`~repro.timing.native.KernelArgumentError` naming that argument
+*before* the kernel runs — a fake kernel records calls, so no C compiler
+is needed.  The first two mutations are textual edits of a copy of
+``compiled.py`` (the same allocation bugs a static prover would have to
+find); the rest corrupt a compiled program's tables or the per-block
+projection at run time.
+"""
+
+import importlib.util
+import itertools
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.timing.compiled as compiled
+import repro.timing.sta as sta
+from repro.analysis.cabi import parse_c_prototypes
+from repro.circuit.generate import generate_circuit
+from repro.place.placer import place_netlist
+from repro.timing import native
+from repro.timing.library import STATISTICAL_PARAMETERS
+from repro.timing.sta import STAEngine
+
+DIE = (-1.0, -1.0, 1.0, 1.0)
+NUM_SAMPLES = 70
+_MUTANT_IDS = itertools.count()
+
+
+class FakeKernel:
+    """Stands in for the ctypes function: records calls, touches nothing."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+
+
+@pytest.fixture(scope="module")
+def placed():
+    netlist = generate_circuit(
+        "contract", 60, 6, 4, num_dffs=8, seed=20080310
+    )
+    return netlist, place_netlist(netlist, DIE, seed=7)
+
+
+@pytest.fixture()
+def fake(monkeypatch):
+    kernel = FakeKernel()
+    monkeypatch.setattr(native, "load_kernel", lambda: kernel)
+    # Several blocks per run, so per-block checks run more than once.
+    monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+    return kernel
+
+
+def _samples(netlist, num_samples=NUM_SAMPLES, seed=3):
+    rng = np.random.default_rng(seed)
+    return {
+        name: rng.standard_normal((num_samples, netlist.num_gates)) * 0.1
+        for name in STATISTICAL_PARAMETERS
+    }
+
+
+def _mutant_program_class(monkeypatch, tmp_path: Path, old: str, new: str):
+    """``CompiledTimingProgram`` from a copy of compiled.py with one edit."""
+    source = Path(compiled.__file__).read_text(encoding="utf-8")
+    assert old in source, f"mutation anchor not found: {old!r}"
+    target = tmp_path / "compiled_mutant.py"
+    target.write_text(source.replace(old, new), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(
+        f"compiled_mutant_{next(_MUTANT_IDS)}", target
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.CompiledTimingProgram
+
+
+def _expect_violation(fake, engine, argument, threads=1, **kwargs):
+    samples = _samples(engine.netlist)
+    with pytest.raises(native.KernelArgumentError) as info:
+        engine.run(
+            samples, engine="compiled", native_threads=threads, **kwargs
+        )
+    assert info.value.argument == argument
+    assert repr(argument) in str(info.value)
+    assert fake.calls == [], "kernel entered despite a contract violation"
+
+
+# ----------------------------------------------------------------------
+# The table itself.
+# ----------------------------------------------------------------------
+def test_table_names_and_order_match_the_c_prototype():
+    source = native.kernel_source_path().read_text(encoding="utf-8")
+    prototype = parse_c_prototypes(source)[native.KERNEL_FUNCTION]
+    assert [p.name for p in prototype.parameters] == [
+        arg.name for arg in native.KERNEL_ARGS
+    ]
+    assert native.kernel_argtypes() == [
+        arg.ctype for arg in native.KERNEL_ARGS
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_clean_program_passes_the_check(placed, fake, threads):
+    engine = STAEngine(*placed)
+    engine.run(
+        _samples(engine.netlist), engine="compiled", native_threads=threads
+    )
+    program = engine.program
+    block = program._native_block_size(
+        NUM_SAMPLES, program.num_slots, threads
+    )
+    assert len(fake.calls) == -(-NUM_SAMPLES // block) > 1
+    assert [call[0] for call in fake.calls][-1] == NUM_SAMPLES % block
+    assert all(call[-1] == threads for call in fake.calls)
+
+
+def test_nominal_run_passes_null_u(placed, fake):
+    engine = STAEngine(*placed)
+    engine.run(None, engine="compiled")
+    assert fake.calls and all(call[2] is None for call in fake.calls)
+
+
+# ----------------------------------------------------------------------
+# Mutations of the call site (textual, on a copy of compiled.py).
+# ----------------------------------------------------------------------
+def test_scratch_without_the_thread_factor_is_caught(
+    placed, fake, tmp_path, monkeypatch
+):
+    mutant = _mutant_program_class(
+        monkeypatch,
+        tmp_path,
+        "kscratch = np.empty(4 * block * threads)",
+        "kscratch = np.empty(4 * block)",
+    )
+    monkeypatch.setattr(sta, "CompiledTimingProgram", mutant)
+    _expect_violation(fake, STAEngine(*placed), "scratch", threads=2)
+
+
+def test_arena_one_element_short_is_caught(
+    placed, fake, tmp_path, monkeypatch
+):
+    mutant = _mutant_program_class(
+        monkeypatch,
+        tmp_path,
+        "arena_a = np.empty(width * block)",
+        "arena_a = np.empty(width * block - 1)",
+    )
+    monkeypatch.setattr(sta, "CompiledTimingProgram", mutant)
+    _expect_violation(fake, STAEngine(*placed), "arena_a")
+
+
+# ----------------------------------------------------------------------
+# Mutations of the compiled tables and the per-block projection.
+# ----------------------------------------------------------------------
+def test_gate_table_missing_an_entry_is_caught(placed, fake):
+    engine = STAEngine(*placed)
+    engine.program._k_bd = engine.program._k_bd[:-1]
+    _expect_violation(fake, engine, "g_bd")
+
+
+def test_float32_dff_row_is_caught(placed, fake):
+    engine = STAEngine(*placed)
+    assert engine.program._dff_k1.size > 0
+    engine.program._dff_k1 = engine.program._dff_k1.astype(np.float32)
+    _expect_violation(fake, engine, "dff_k1")
+
+
+def test_non_contiguous_projection_is_caught(placed, fake, monkeypatch):
+    engine = STAEngine(*placed)
+    program = engine.program
+    drive = program._drive
+
+    def fortran_u_drive(num_samples, block, products, keep_all, evaluate):
+        def evaluate_fortran(start, stop, u):
+            return evaluate(start, stop, np.asfortranarray(u))
+
+        return drive(
+            num_samples, block, products, keep_all, evaluate_fortran
+        )
+
+    monkeypatch.setattr(program, "_drive", fortran_u_drive)
+    _expect_violation(fake, engine, "u")
+
+
+# ----------------------------------------------------------------------
+# Extent rules on a hand-built one-gate program.
+# ----------------------------------------------------------------------
+def _one_gate_args(rows=4):
+    """Valid arguments for one PI (slot 0) feeding one gate (slot 1)."""
+    def i64(*values):
+        return np.array(values, dtype=np.int64)
+
+    args = {
+        "num_rows": rows,
+        "num_model_gates": 1,
+        "input_slew": 10.0,
+        "pi_slots": i64(0),
+        "num_pi": 1,
+        "num_dff": 0,
+        "num_gates": 1,
+        "g_fanin": i64(1),
+        "g_out_slot": i64(1),
+        "g_id": i64(0),
+        "p_slot": i64(0),
+        "arena_a": np.zeros(2 * rows),
+        "arena_s": np.zeros(2 * rows),
+        "scratch": np.zeros(4 * rows),
+        "num_threads": 1,
+    }
+    args["dff_slots"] = args["dff_gids"] = i64()
+    for arg in native.KERNEL_ARGS:
+        if arg.name not in args and arg.name != "u":
+            # The float64 tables: per DFF (none) or per gate/pin (one).
+            dff = arg.name.startswith("dff_")
+            args[arg.name] = np.zeros(0) if dff else np.ones(1)
+    return args
+
+
+def _violation(args):
+    with pytest.raises(native.KernelArgumentError) as info:
+        native.BoundKernel(FakeKernel(), **args)
+    return info.value.argument
+
+
+def test_one_gate_program_binds_and_runs():
+    kernel = FakeKernel()
+    call = native.BoundKernel(kernel, **_one_gate_args())
+    call(3, np.zeros((3, 1)))
+    call(4, None)
+    assert [args[0] for args in kernel.calls] == [3, 4]
+
+
+def test_extents_follow_the_other_arguments():
+    args = _one_gate_args()
+    args["g_fanin"] = np.array([2], dtype=np.int64)  # two pins, one entry
+    assert _violation(args) == "p_slot"
+    args = _one_gate_args()
+    args["g_out_slot"] = np.array([2], dtype=np.int64)  # needs 3 slots
+    assert _violation(args) == "arena_a"
+    args = _one_gate_args()
+    args["num_threads"] = 2
+    assert _violation(args) == "scratch"
+    args = _one_gate_args()
+    args["g_id"] = np.array([1], dtype=np.int64)  # u has one column
+    assert _violation(args) == "g_id"
+
+
+def test_malformed_arguments_are_named():
+    args = _one_gate_args()
+    args["arena_s"].flags.writeable = False
+    assert _violation(args) == "arena_s"
+    args = _one_gate_args()
+    args["g_id"] = [0]
+    assert _violation(args) == "g_id"
+    args = _one_gate_args()
+    args["g_bd"] = None
+    assert _violation(args) == "g_bd"
+    args = _one_gate_args()
+    del args["p_wd"]
+    assert _violation(args) == "p_wd"
+
+
+def test_per_block_rows_and_projection_are_rechecked():
+    kernel = FakeKernel()
+    call = native.BoundKernel(kernel, **_one_gate_args(rows=4))
+    with pytest.raises(native.KernelArgumentError, match="num_rows"):
+        call(5, None)
+    with pytest.raises(native.KernelArgumentError, match="'u'"):
+        call(4, np.zeros((3, 1)))
+    assert kernel.calls == []
+
+
+def test_error_survives_pickling():
+    # Process-pool workers ship exceptions back by pickle.
+    error = native.KernelArgumentError("scratch", "too small")
+    restored = pickle.loads(pickle.dumps(error))
+    assert restored.argument == "scratch"
+    assert str(restored) == str(error)
