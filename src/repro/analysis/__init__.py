@@ -1,6 +1,6 @@
 """Project-aware static analysis for the reproduction codebase.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 - :mod:`repro.analysis.engine` — a dependency-free AST rule engine
   (registry, per-file visitor dispatch, ``# repro-lint:`` suppressions);
@@ -10,32 +10,19 @@ Three cooperating pieces:
   the whole-program determinism provers (:mod:`repro.analysis.seedflow`
   seed-flow taint, :mod:`repro.analysis.cachekey` cache-key
   completeness, :mod:`repro.analysis.locks` lock discipline and
-  :mod:`repro.analysis.concurrency` process-pool safety);
-- :mod:`repro.analysis.cabi` — the C-ABI cross-checker that parses the
-  exported prototypes in ``repro/timing/sta_kernel.c`` and verifies the
-  ctypes ``argtypes``/``restype`` declaration in
-  :mod:`repro.timing.native` against them.  Dtype, contiguity and
-  extent of the kernel's array arguments are checked at run time, on
-  every call, by :data:`repro.timing.native.KERNEL_ARGS`.
+  :mod:`repro.analysis.concurrency` process-pool safety) over one
+  shared :class:`~repro.analysis.project.ProjectModel`.
 
 Run the whole gate with ``python -m repro.analysis`` (see
 :mod:`repro.analysis.cli`); CI's ``static-analysis`` job does exactly
-that plus mypy.
+that plus mypy.  The native kernel is not checked here: its C prototype
+is compared with :data:`repro.timing.native.KERNEL_ARGS` by a tier-1
+test, and every call's arguments are checked at run time against the
+same table.
 """
 
 from __future__ import annotations
 
-from repro.analysis.cabi import (
-    ABIMismatch,
-    CParameter,
-    CPrototype,
-    UnsupportedDeclarationError,
-    check_c_abi,
-    check_function,
-    ctype_for,
-    describe_ctype,
-    parse_c_prototypes,
-)
 from repro.analysis.engine import (
     LINT_RULE_ID,
     SYNTAX_ERROR_RULE_ID,
@@ -48,7 +35,6 @@ from repro.analysis.engine import (
     analyze_paths,
     analyze_source,
     analyze_source_report,
-    catalog_fingerprint,
     iter_python_files,
     known_rule_ids,
     project_check_ids,
@@ -63,11 +49,7 @@ from repro.analysis.engine import (
 # whole-program check ids.
 from repro.analysis import rules as rules  # noqa: F401
 from repro.analysis.cachekey import KEY_RULE_ID, check_cache_keys
-from repro.analysis.concurrency import (
-    GLOBAL_RULE_ID,
-    RNG_RULE_ID,
-    check_concurrency,
-)
+from repro.analysis.concurrency import GLOBAL_RULE_ID, check_concurrency
 from repro.analysis.locks import (
     GUARD_RULE_ID,
     ORDER_RULE_ID,
@@ -78,12 +60,7 @@ from repro.analysis.seedflow import (
     SEED_SOURCE_RULE_ID,
     check_seed_flow,
 )
-from repro.analysis.gate import (
-    GateReport,
-    LINT_CACHE_NAME,
-    analyze_project_paths,
-    changed_file_subset,
-)
+from repro.analysis.gate import GateReport, analyze_project_paths
 from repro.analysis.project import (
     ClassInfo,
     FunctionInfo,
@@ -95,9 +72,6 @@ from repro.analysis.cli import main
 from repro.analysis.reporters import format_human, format_json, report_payload
 
 __all__ = [
-    "ABIMismatch",
-    "CParameter",
-    "CPrototype",
     "ClassInfo",
     "FileContext",
     "FileReport",
@@ -106,18 +80,15 @@ __all__ = [
     "GUARD_RULE_ID",
     "GateReport",
     "KEY_RULE_ID",
-    "LINT_CACHE_NAME",
     "LINT_RULE_ID",
     "ModuleInfo",
     "ORDER_RULE_ID",
     "ProjectModel",
-    "RNG_RULE_ID",
     "Resolver",
     "Rule",
     "SEED_FORK_RULE_ID",
     "SEED_SOURCE_RULE_ID",
     "SYNTAX_ERROR_RULE_ID",
-    "UnsupportedDeclarationError",
     "Violation",
     "all_rules",
     "analyze_file",
@@ -125,22 +96,15 @@ __all__ = [
     "analyze_project_paths",
     "analyze_source",
     "analyze_source_report",
-    "catalog_fingerprint",
-    "changed_file_subset",
-    "check_c_abi",
     "check_cache_keys",
     "check_concurrency",
-    "check_function",
     "check_lock_discipline",
     "check_seed_flow",
-    "ctype_for",
-    "describe_ctype",
     "format_human",
     "format_json",
     "iter_python_files",
     "known_rule_ids",
     "main",
-    "parse_c_prototypes",
     "project_check_ids",
     "register_project_check",
     "register_rule",

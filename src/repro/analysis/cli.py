@@ -2,13 +2,13 @@
 
 Runs the per-file lint rules *and* the whole-program analyses (project
 model + concurrency safety + seed-flow taint + cache-key completeness
-+ lock discipline + stale suppressions) over
-the given paths (default: ``src/repro``) and, unless
-``--no-cabi`` is passed, cross-checks the native kernel's C ABI against
-its ctypes declaration.  Exit status:
++ lock discipline + stale suppressions) over the given paths (default:
+``src/repro``), cold, in one pass per file.  The native kernel's C
+prototype is checked against its ctypes table by a tier-1 test
+(``tests/timing/test_kernel_contract.py``), not here.  Exit status:
 
-- ``0`` — no violations and (when checked) no ABI mismatches;
-- ``1`` — at least one violation or ABI mismatch;
+- ``0`` — no violations;
+- ``1`` — at least one violation;
 - ``2`` — usage error (unknown rule id, missing path), or any analyzed
   file that does not parse (REPRO-SYNTAX) — an unparseable file means
   the rest of the report is incomplete, which is an infrastructure
@@ -24,9 +24,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.cabi import ABIMismatch, check_c_abi
-from repro.analysis.engine import Violation, rule_catalog
-from repro.analysis.gate import analyze_project_paths, changed_file_subset
+from repro.analysis.engine import rule_catalog
+from repro.analysis.gate import analyze_project_paths
 from repro.analysis.reporters import format_human, format_json
 
 __all__ = ["build_parser", "explain_rule", "main"]
@@ -37,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Project-aware static analysis: reproducibility lint rules "
-            "plus the sta_kernel.c / ctypes C-ABI cross-check."
+            "Project-aware static analysis: per-file reproducibility "
+            "lint rules plus whole-program determinism checks."
         ),
     )
     parser.add_argument(
@@ -76,54 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--no-cabi",
-        action="store_true",
-        help="skip the C-ABI cross-check",
-    )
-    parser.add_argument(
         "--no-project",
         action="store_true",
         help=(
             "skip the whole-program analyses (concurrency, seed flow, "
             "cache keys, locks, stale suppressions); per-file rules only"
-        ),
-    )
-    parser.add_argument(
-        "--cabi-only",
-        action="store_true",
-        help="run only the C-ABI cross-check (no Python lint)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the per-file phase (default 1; "
-            "0 means one per CPU); output is identical at any count"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental findings cache (full re-analysis)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "incremental cache directory "
-            "(default: $REPRO_CACHE_DIR/lint)"
-        ),
-    )
-    parser.add_argument(
-        "--changed-since",
-        metavar="REF",
-        help=(
-            "smoke mode: per-file rules only, restricted to files "
-            "changed since git REF plus their import-graph dependents "
-            "(whole-program passes are skipped — run the full gate "
-            "before merging)"
         ),
     )
     return parser
@@ -175,67 +131,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if options.explain is not None:
         return explain_rule(options.explain)
 
-    violations: List[Violation] = []
-    files_checked = 0
-    syntax_failure = False
-    cache_note: Optional[str] = None
-    if not options.cabi_only:
-        try:
-            paths: List[str] = list(options.paths)
-            run_project = not options.no_project
-            if options.changed_since is not None:
-                paths = changed_file_subset(paths, options.changed_since)
-                run_project = False
-            if paths:
-                report = analyze_project_paths(
-                    paths,
-                    select=_split_ids(options.select),
-                    ignore=_split_ids(options.ignore),
-                    project=run_project,
-                    jobs=options.jobs,
-                    use_cache=not options.no_cache,
-                    cache_dir=options.cache_dir,
-                )
-                violations = report.violations
-                files_checked = report.files_checked
-                syntax_failure = report.has_syntax_errors
-                if not options.no_cache:
-                    reused = files_checked - len(report.reanalyzed_paths)
-                    cache_note = (
-                        f"incremental cache: {reused}/{files_checked} "
-                        f"file(s) reused, whole-program findings "
-                        f"{'reused' if report.project_from_cache else 'recomputed'}"
-                        if run_project
-                        else f"incremental cache: {reused}/{files_checked} "
-                        f"file(s) reused"
-                    )
-        except FileNotFoundError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        except (RuntimeError, ValueError) as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        violations = list(violations)
-
-    mismatches: Optional[List[ABIMismatch]] = None
-    if options.cabi_only or not options.no_cabi:
-        mismatches = check_c_abi()
-
-    if options.json:
-        print(
-            format_json(
-                violations, mismatches, files_checked=files_checked
-            )
+    try:
+        report = analyze_project_paths(
+            options.paths,
+            select=_split_ids(options.select),
+            ignore=_split_ids(options.ignore),
+            project=not options.no_project,
         )
-    else:
-        print(
-            format_human(
-                violations,
-                mismatches,
-                files_checked=files_checked,
-                cache_note=cache_note,
-            )
-        )
-    if syntax_failure:
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    return 1 if violations or mismatches else 0
+
+    render = format_json if options.json else format_human
+    print(render(report.violations, files_checked=report.files_checked))
+    if report.has_syntax_errors:
+        return 2
+    return 1 if report.violations else 0

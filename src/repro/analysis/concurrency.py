@@ -1,35 +1,28 @@
-"""Concurrency-safety rules over the project call graph (REPRO-PAR001/002).
+"""Concurrency-safety rule over the project call graph (REPRO-PAR001).
 
 ``run_table1(parallel=...)`` fans work out through a
 ``ProcessPoolExecutor``; each worker re-imports the library and runs the
-submitted function in its own process.  Two classes of state make that
-fan-out silently wrong:
+submitted function in its own process.  Module-level mutable globals
+make that fan-out silently wrong: a worker that mutates a module-level
+dict/list/rebinding only mutates *its own process's* copy — the parent
+never sees the write, so code that "accumulates" into a global under the
+pool loses data without any error.  Per-process memo caches are
+legitimate, but must say so with an inline justification suppression.
 
-- **module-level mutable globals** (REPRO-PAR001): a worker that
-  mutates a module-level dict/list/rebinding only mutates *its own
-  process's* copy — the parent never sees the write, so code that
-  "accumulates" into a global under the pool loses data without any
-  error.  Per-process memo caches are legitimate, but must say so with
-  an inline justification suppression;
-- **unseeded RNG** (REPRO-PAR002): a submitted function that reaches
-  legacy ``np.random.*`` or an unseeded ``default_rng()`` gives every
-  worker an independent entropy-seeded stream — results become
-  irreproducible *only* in parallel runs, the worst kind of skew.
-
-Both rules are whole-program: the offending access may sit several
-calls below the submitted function.  This module finds every
-``pool.submit(f, ...)`` / ``pool.map(f, ...)`` site, resolves ``f`` to
-a project function, walks the call graph from those roots (direct
+The rule is whole-program: the offending write may sit several calls
+below the submitted function.  This module walks the call graph from
+every fan-out root (:attr:`ProjectModel.submit_roots`; direct
 resolution plus a conservative any-method-of-this-name fallback for
-unknown receivers), and reports each offending *site* with the root and
-call path that reaches it.
+unknown receivers) and reports each offending *site* with the root and
+call path that reaches it.  Unseeded RNG in worker code needs no
+reachability: REPRO-RNG001 and REPRO-SEED001 flag it everywhere.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Violation, register_project_check
 from repro.analysis.project import (
@@ -39,16 +32,13 @@ from repro.analysis.project import (
     Resolver,
     _dotted_name,
 )
-from repro.analysis.rules import LEGACY_NP_RANDOM
 
 __all__ = [
     "GLOBAL_RULE_ID",
-    "RNG_RULE_ID",
     "check_concurrency",
 ]
 
 GLOBAL_RULE_ID = "REPRO-PAR001"
-RNG_RULE_ID = "REPRO-PAR002"
 
 GLOBAL_RULE_TITLE = "pool-submitted code mutates a module-level global"
 GLOBAL_RULE_RATIONALE = """Functions submitted to a ProcessPoolExecutor run
@@ -57,40 +47,16 @@ worker and vanish, so accumulate-into-a-global logic silently loses
 data under run_table1(parallel=...).  Pass state in and return results
 out; per-process memo caches must carry a justification suppression."""
 
-RNG_RULE_TITLE = "pool-submitted code reaches unseeded RNG"
-RNG_RULE_RATIONALE = """A submitted function that reaches np.random.* or an
-unseeded default_rng() draws from per-worker entropy streams, making
-parallel runs irreproducible even when the serial path is seeded.
-Thread a seed (or SeedSequence spawn) into everything a worker runs."""
-
 GLOBAL_RULE_EXAMPLE = """_counter = 0
 def worker(task):
     global _counter
     _counter += 1          # racy: runs inside pool.submit(worker, ...)"""
-
-RNG_RULE_EXAMPLE = """def worker(n):
-    rng = np.random.default_rng()   # fresh entropy per worker thread
-    return rng.normal(size=n)"""
 
 register_project_check(
     GLOBAL_RULE_ID,
     GLOBAL_RULE_TITLE,
     GLOBAL_RULE_RATIONALE,
     example=GLOBAL_RULE_EXAMPLE,
-)
-register_project_check(
-    RNG_RULE_ID,
-    RNG_RULE_TITLE,
-    RNG_RULE_RATIONALE,
-    example=RNG_RULE_EXAMPLE,
-)
-
-#: Executor classes whose ``submit``/``map`` we treat as fan-out points.
-_EXECUTOR_CLASS_SUFFIXES = (
-    "ProcessPoolExecutor",
-    "ThreadPoolExecutor",
-    "Executor",
-    "Pool",
 )
 
 #: Constructor calls producing module-level *mutable* containers.
@@ -146,21 +112,10 @@ class _FunctionFacts:
     #: bare method names invoked on unresolved receivers.
     unresolved_methods: Set[str] = field(default_factory=set)
     global_sites: List[_Site] = field(default_factory=list)
-    rng_sites: List[_Site] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _SubmitRoot:
-    """One ``pool.submit(f, ...)`` site resolved to a project function."""
-
-    qualname: str
-    line: int
-    col: int
-    path: str
 
 
 class _FunctionScanner(ast.NodeVisitor):
-    """Collect calls, global writes and RNG reads inside one function."""
+    """Collect calls and global writes inside one function."""
 
     def __init__(
         self,
@@ -277,47 +232,8 @@ class _FunctionScanner(ast.NodeVisitor):
                 self._flag_global(
                     node, root, f"calls .{func.attr}(...) on"
                 )
-        self._record_rng(node)
         self._record_call_edge(node)
         self.generic_visit(node)
-
-    def _record_rng(self, node: ast.Call) -> None:
-        func = node.func
-        dotted = _dotted_name(func)
-        if dotted is not None:
-            prefix, _, leaf = dotted.rpartition(".")
-            if prefix in ("np.random", "numpy.random") and (
-                leaf in LEGACY_NP_RANDOM
-            ):
-                self.facts.rng_sites.append(
-                    _Site(node.lineno, node.col_offset, f"{dotted}()")
-                )
-                return
-        is_default_rng = (
-            isinstance(func, ast.Name) and func.id == "default_rng"
-        ) or (
-            isinstance(func, ast.Attribute)
-            and func.attr == "default_rng"
-            and _dotted_name(func) in (
-                "np.random.default_rng", "numpy.random.default_rng"
-            )
-        )
-        if is_default_rng:
-            unseeded = not node.args and not node.keywords
-            explicit_none = (
-                len(node.args) == 1
-                and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            )
-            if unseeded or explicit_none:
-                self.facts.rng_sites.append(
-                    _Site(
-                        node.lineno,
-                        node.col_offset,
-                        "default_rng() without a seed",
-                    )
-                )
 
     def _record_call_edge(self, node: ast.Call) -> None:
         func = node.func
@@ -375,85 +291,8 @@ def _module_mutable_globals(module: ModuleInfo) -> Set[str]:
     }
 
 
-def _executor_bindings(info: FunctionInfo) -> Set[str]:
-    """Local names bound to executor instances inside ``info``."""
-    names: Set[str] = set()
-
-    def is_executor_call(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        dotted = _dotted_name(node.func)
-        if dotted is None:
-            return False
-        leaf = dotted.rpartition(".")[2]
-        return any(leaf.endswith(s) for s in _EXECUTOR_CLASS_SUFFIXES)
-
-    for node in ast.walk(info.node):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if is_executor_call(item.context_expr) and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    names.add(item.optional_vars.id)
-        elif isinstance(node, ast.Assign):
-            if is_executor_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-    return names
-
-
-def _find_submit_roots(
-    model: ProjectModel,
-) -> List[_SubmitRoot]:
-    roots: List[_SubmitRoot] = []
-    for info in model.iter_functions():
-        module = model.module_of(info)
-        resolver = Resolver(model, module)
-        executors = _executor_bindings(info)
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr not in ("submit", "map"):
-                continue
-            receiver = func.value
-            receiver_name = (
-                receiver.id if isinstance(receiver, ast.Name) else None
-            )
-            looks_like_pool = receiver_name in executors or (
-                receiver_name is not None
-                and any(
-                    token in receiver_name.lower()
-                    for token in ("pool", "executor")
-                )
-            )
-            if not looks_like_pool or not node.args:
-                continue
-            target_expr = node.args[0]
-            callee: Optional[str] = None
-            if isinstance(target_expr, (ast.Name, ast.Attribute)):
-                dotted = _dotted_name(target_expr)
-                if dotted is not None:
-                    target = resolver.resolve_target(dotted)
-                    if target is not None:
-                        callee = model.lookup_callable(target)
-            if callee is not None:
-                roots.append(
-                    _SubmitRoot(
-                        qualname=callee,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        path=module.path,
-                    )
-                )
-    return roots
-
-
 def check_concurrency(model: ProjectModel) -> List[Violation]:
-    """Run REPRO-PAR001/PAR002 over a project model."""
+    """Run REPRO-PAR001 over a project model."""
     facts: Dict[str, _FunctionFacts] = {}
     for info in model.iter_functions():
         module = model.module_of(info)
@@ -467,11 +306,10 @@ def check_concurrency(model: ProjectModel) -> List[Violation]:
         scanner.visit(info.node)
         facts[info.qualname] = scanner.facts
 
-    roots = _find_submit_roots(model)
     violations: List[Violation] = []
-    seen: Set[Tuple[str, int, int, str]] = set()
+    seen: Set[Tuple[str, int, int]] = set()
 
-    for root in roots:
+    for root in model.submit_roots:
         # BFS from the submitted function, remembering one shortest call
         # path to each reached function for the report.
         paths: Dict[str, Tuple[str, ...]] = {root.qualname: (root.qualname,)}
@@ -501,7 +339,7 @@ def check_concurrency(model: ProjectModel) -> List[Violation]:
             reached_path = model.module_of(reached_info).path
             chain_text = " -> ".join(q.rpartition(".")[2] for q in chain)
             for site in reached_facts.global_sites:
-                key = (reached_path, site.line, site.col, GLOBAL_RULE_ID)
+                key = (reached_path, site.line, site.col)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -518,26 +356,6 @@ def check_concurrency(model: ProjectModel) -> List[Violation]:
                             f"never reach the parent — pass state in and "
                             f"return results, or justify a per-process "
                             f"cache with a suppression"
-                        ),
-                    )
-                )
-            for site in reached_facts.rng_sites:
-                key = (reached_path, site.line, site.col, RNG_RULE_ID)
-                if key in seen:
-                    continue
-                seen.add(key)
-                violations.append(
-                    Violation(
-                        path=reached_path,
-                        line=site.line,
-                        col=site.col,
-                        rule_id=RNG_RULE_ID,
-                        message=(
-                            f"{site.detail} in code reachable from "
-                            f"pool-submitted {root_leaf}() "
-                            f"(via {chain_text}); every worker draws an "
-                            f"independent entropy stream — thread a seed "
-                            f"through the submitted call"
                         ),
                     )
                 )

@@ -29,9 +29,7 @@ the registry.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -58,17 +56,14 @@ __all__ = [
     "Violation",
     "all_rules",
     "analyze_file",
-    "analyze_file_findings",
     "analyze_paths",
     "analyze_source",
     "analyze_source_report",
-    "catalog_fingerprint",
     "iter_python_files",
     "known_rule_ids",
     "project_check_ids",
     "register_project_check",
     "register_rule",
-    "report_from_findings",
     "rule_catalog",
     "stale_suppressions",
 ]
@@ -352,12 +347,6 @@ def _parse_suppressions(source: str) -> _SuppressionTable:
     return _SuppressionTable(file_wide=file_wide, per_line=per_line)
 
 
-def _suppressions(source: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
-    """Back-compat view of :func:`_parse_suppressions`."""
-    table = _parse_suppressions(source)
-    return table.file_wide_ids, table.per_line
-
-
 def _suppressed(
     violation: Violation,
     file_wide: Set[str],
@@ -440,17 +429,38 @@ def analyze_source_report(
     on unparseable library code, not skip it.
     """
     active = _select_rules(all_rules() if rules is None else rules, select, ignore)
+    return _file_report(path, source, _parse(source, path), active)
+
+
+def _parse(source: str, path: str) -> Union[ast.Module, SyntaxError]:
+    """The syntax tree of ``source``, or the error it fails to parse with."""
+    try:
+        return ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return exc
+
+
+def _file_report(
+    path: str,
+    source: str,
+    parsed: Union[ast.Module, SyntaxError],
+    rules: Sequence[Rule],
+) -> FileReport:
+    """Run ``rules`` over one already-parsed file.
+
+    The gate parses each file once and shares the tree with the project
+    model; rules never mutate it (:class:`FileContext` keeps its parent
+    links in its own dict).
+    """
     table = _parse_suppressions(source)
     file_wide, per_line = table.file_wide_ids, table.per_line
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
+    if isinstance(parsed, SyntaxError):
         violation = Violation(
             path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
+            line=parsed.lineno or 1,
+            col=(parsed.offset or 1) - 1,
             rule_id=SYNTAX_ERROR_RULE_ID,
-            message=f"file does not parse: {exc.msg}",
+            message=f"file does not parse: {parsed.msg}",
         )
         kept = (
             [] if _suppressed(violation, file_wide, per_line) else [violation]
@@ -464,19 +474,19 @@ def analyze_source_report(
             suppressions=table,
         )
 
-    ctx = FileContext(path, source, tree)
+    ctx = FileContext(path, source, parsed)
     dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in active:
+    for rule in rules:
         rule.begin_file(ctx)
         for node_type in rule.interests:
             dispatch.setdefault(node_type, []).append(rule)
 
     found: List[Violation] = []
     if dispatch:
-        for node in _ordered_walk(tree):
+        for node in _ordered_walk(parsed):
             for rule in dispatch.get(type(node), ()):
                 found.extend(rule.visit(node, ctx))
-    for rule in active:
+    for rule in rules:
         found.extend(rule.finish_file(ctx))
 
     kept = [v for v in found if not _suppressed(v, file_wide, per_line)]
@@ -610,73 +620,6 @@ def analyze_file(
     return analyze_source(
         text, str(path), rules=rules, select=select, ignore=ignore
     )
-
-
-def catalog_fingerprint() -> str:
-    """SHA-256 over the full rule catalog (ids, titles, rationales,
-    examples) of every registered per-file rule and whole-program check.
-
-    This is the "rule-catalog version" component of every incremental
-    cache key: editing any rule's behavior should come with a visible
-    metadata change, and even a pure doc edit safely invalidates cached
-    findings rather than risking stale results after a semantic change.
-    """
-    payload = json.dumps(rule_catalog(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def report_from_findings(
-    path: str,
-    source: str,
-    findings: Sequence[Violation],
-    *,
-    active_ids: Optional[Set[str]] = None,
-) -> FileReport:
-    """Rebuild a :class:`FileReport` from pre-suppression findings.
-
-    This is the cache-hit path of the incremental gate: ``findings`` are
-    the raw hits of *all* per-file rules (recomputed or loaded from the
-    findings cache — the two are byte-identical by construction), and the
-    post-suppression ``violations`` view is re-derived here by parsing
-    the suppression table from ``source`` and filtering to
-    ``active_ids`` (None means every rule is active).  Keeping
-    select/ignore filtering out of the cached payload is what lets one
-    cache entry serve every rule selection.
-    """
-    table = _parse_suppressions(source)
-    syntax_error = any(
-        v.rule_id == SYNTAX_ERROR_RULE_ID for v in findings
-    )
-    kept = [
-        v
-        for v in findings
-        if (active_ids is None or v.rule_id in active_ids)
-        and not _suppressed(v, table.file_wide_ids, table.per_line)
-    ]
-    return FileReport(
-        path=path,
-        source=source,
-        syntax_error=syntax_error,
-        findings=sorted(findings),
-        violations=sorted(kept),
-        suppressions=table,
-    )
-
-
-def analyze_file_findings(path: str) -> List[Violation]:
-    """Run every registered per-file rule over one file; raw findings.
-
-    Module-level by design: this is the worker the incremental gate
-    submits to its ``ProcessPoolExecutor`` fan-out, so the concurrency
-    pass (REPRO-PAR001/002) can resolve the submit root statically, and
-    spawned interpreters can import it by qualified name.  The rule
-    registry is populated locally because a spawned child has not
-    executed :mod:`repro.analysis`'s registering imports.
-    """
-    import repro.analysis.rules  # noqa: F401  (populates the registry)
-
-    source = Path(path).read_text(encoding="utf-8")
-    return analyze_source_report(source, path, rules=all_rules()).findings
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:

@@ -589,11 +589,9 @@ def worker_roots(model: ProjectModel) -> List[_Root]:
     """Every thread fan-out site: ``pool.submit``/``map`` first args and
     ``threading.Thread(target=...)`` targets resolved to project
     functions."""
-    from repro.analysis.concurrency import _find_submit_roots
-
     roots: List[_Root] = [
         _Root(r.qualname, r.line, r.path, "pool.submit")
-        for r in _find_submit_roots(model)
+        for r in model.submit_roots
     ]
     for info in model.iter_functions():
         module = model.module_of(info)

@@ -19,7 +19,11 @@ substrate those analyses (:mod:`repro.analysis.concurrency`,
 - a :class:`Resolver` that turns a call expression inside a given
   function into the :class:`FunctionInfo` it invokes, handling bare
   names, imported names, dotted module access, ``self.method`` and
-  ``ClassName(...)`` construction.
+  ``ClassName(...)`` construction;
+- the **fan-out roots** (:attr:`ProjectModel.submit_roots`): every
+  ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` site resolved to the
+  project function it runs, found once per model for the concurrency
+  and lock passes.
 
 The model is purely syntactic — nothing is imported or executed — so it
 can be built for arbitrary analysis targets (``src/repro`` as well as
@@ -30,8 +34,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.engine import iter_python_files
 
@@ -41,7 +46,9 @@ __all__ = [
     "ModuleInfo",
     "ProjectModel",
     "Resolver",
+    "SubmitRoot",
     "function_parameters",
+    "iter_modules",
 ]
 
 AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -115,6 +122,25 @@ class ModuleInfo:
     module_assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class SubmitRoot:
+    """One ``pool.submit(f, ...)`` site resolved to a project function."""
+
+    qualname: str
+    line: int
+    col: int
+    path: str
+
+
+#: Executor classes whose ``submit``/``map`` we treat as fan-out points.
+_EXECUTOR_CLASS_SUFFIXES = (
+    "ProcessPoolExecutor",
+    "ThreadPoolExecutor",
+    "Executor",
+    "Pool",
+)
+
+
 def _module_name_for(root: Path, file: Path, package: Optional[str]) -> str:
     relative = file.relative_to(root).with_suffix("")
     parts = list(relative.parts)
@@ -125,6 +151,25 @@ def _module_name_for(root: Path, file: Path, package: Optional[str]) -> str:
     return ".".join(parts) if parts else (package or file.stem)
 
 
+def iter_modules(
+    paths: Iterable[Union[str, Path]]
+) -> Iterator[Tuple[Path, str]]:
+    """Every Python file under ``paths`` with its dotted module name.
+
+    A directory holding an ``__init__.py`` is a package: its files are
+    named ``package.sub.module``.  A file passed directly is named by
+    its stem.
+    """
+    for raw in paths:
+        root = Path(raw)
+        if root.is_file():
+            yield root, root.stem
+            continue
+        package = root.name if (root / "__init__.py").is_file() else None
+        for file_path in iter_python_files([root]):
+            yield file_path, _module_name_for(root, file_path, package)
+
+
 class ProjectModel:
     """The whole-program symbol table over a set of analyzed files."""
 
@@ -132,7 +177,6 @@ class ProjectModel:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self._module_by_path: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Construction.
@@ -142,29 +186,21 @@ class ProjectModel:
         """Build the model from files/directories (unparseable files are
         skipped — the per-file engine reports those as REPRO-SYNTAX)."""
         model = cls()
-        for raw in paths:
-            root = Path(raw)
-            if root.is_file():
-                model._add_file(root, root.stem)
+        for path, module_name in iter_modules(paths):
+            try:
+                source = path.read_text(encoding="utf-8")
+                tree = ast.parse(source, filename=str(path))
+            except (OSError, SyntaxError, ValueError):
                 continue
-            package = root.name if (root / "__init__.py").is_file() else None
-            for file_path in iter_python_files([root]):
-                model._add_file(
-                    file_path, _module_name_for(root, file_path, package)
-                )
+            model.add_module(module_name, str(path), source, tree)
         return model
 
-    def _add_file(self, path: Path, module_name: str) -> None:
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError, ValueError):
-            return
-        module = ModuleInfo(
-            name=module_name, path=str(path), source=source, tree=tree
-        )
-        self.modules[module_name] = module
-        self._module_by_path[str(path)] = module_name
+    def add_module(
+        self, name: str, path: str, source: str, tree: ast.Module
+    ) -> None:
+        """Add one parsed module and its symbols to the model."""
+        module = ModuleInfo(name=name, path=path, source=source, tree=tree)
+        self.modules[name] = module
         self._collect_imports(module)
         self._collect_definitions(module)
 
@@ -284,6 +320,61 @@ class ProjectModel:
         """All functions in insertion (document) order."""
         return iter(self.functions.values())
 
+    @cached_property
+    def submit_roots(self) -> List[SubmitRoot]:
+        """Every ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` site whose
+        ``f`` resolves to a project function, in document order.
+
+        A receiver counts as a pool when it is bound to an executor
+        construction in the same function, or when its name says
+        ``pool`` or ``executor``.  Computed on first use, once the model
+        is built, and shared by every pass over it.
+        """
+        roots: List[SubmitRoot] = []
+        for info in self.iter_functions():
+            module = self.module_of(info)
+            resolver = Resolver(self, module)
+            executors = _executor_bindings(info)
+            for node in ast.walk(info.node):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if not isinstance(func, ast.Attribute):
+                    continue
+                if func.attr not in ("submit", "map"):
+                    continue
+                receiver = func.value
+                receiver_name = (
+                    receiver.id if isinstance(receiver, ast.Name) else None
+                )
+                looks_like_pool = receiver_name in executors or (
+                    receiver_name is not None
+                    and any(
+                        token in receiver_name.lower()
+                        for token in ("pool", "executor")
+                    )
+                )
+                if not looks_like_pool or not node.args:
+                    continue
+                target_expr = node.args[0]
+                callee: Optional[str] = None
+                if isinstance(target_expr, (ast.Name, ast.Attribute)):
+                    dotted = _dotted_name(target_expr)
+                    if dotted is not None:
+                        target = resolver.resolve_target(dotted)
+                        if target is not None:
+                            callee = self.lookup_callable(target)
+                if callee is not None:
+                    roots.append(
+                        SubmitRoot(
+                            qualname=callee,
+                            line=node.lineno,
+                            col=node.col_offset,
+                            path=module.path,
+                        )
+                    )
+        return roots
+
 
 class Resolver:
     """Name resolution for one module's scope.
@@ -344,6 +435,34 @@ class Resolver:
         if target is None:
             return None
         return self.model.class_of_callable(target)
+
+
+def _executor_bindings(info: FunctionInfo) -> Set[str]:
+    """Local names bound to executor instances inside ``info``."""
+    names: Set[str] = set()
+
+    def is_executor_call(node: ast.expr) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        dotted = _dotted_name(node.func)
+        if dotted is None:
+            return False
+        leaf = dotted.rpartition(".")[2]
+        return any(leaf.endswith(s) for s in _EXECUTOR_CLASS_SUFFIXES)
+
+    for node in ast.walk(info.node):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if is_executor_call(item.context_expr) and isinstance(
+                    item.optional_vars, ast.Name
+                ):
+                    names.add(item.optional_vars.id)
+        elif isinstance(node, ast.Assign):
+            if is_executor_call(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+    return names
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:

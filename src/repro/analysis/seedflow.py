@@ -223,6 +223,68 @@ class _Consumption:
     detail: str
 
 
+@dataclass
+class _Bindings:
+    """One function's local name bindings.
+
+    They do not depend on the interprocedural summaries, so they are
+    collected once per function rather than once per fixpoint round.
+    """
+
+    #: name → number of Store bindings in the body.
+    store_counts: Dict[str, int] = field(default_factory=dict)
+    #: name → all value exprs assigned to it (for taint + eligibility).
+    assigned_values: Dict[str, List[ast.expr]] = field(default_factory=dict)
+    #: local name → project class qualname (``x = ClassName(...)``).
+    instances: Dict[str, str] = field(default_factory=dict)
+
+
+def _collect_bindings(info: FunctionInfo, resolver: Resolver) -> _Bindings:
+    bindings = _Bindings()
+    store_counts = bindings.store_counts
+    assigned_values = bindings.assigned_values
+    for node in ast.walk(info.node):
+        if isinstance(node, ast.Name) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            store_counts[node.id] = store_counts.get(node.id, 0) + 1
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            value = node.value
+            if value is None:
+                continue
+            for target in targets:
+                for name_node in ast.walk(target):
+                    if isinstance(name_node, ast.Name):
+                        assigned_values.setdefault(name_node.id, []).append(
+                            value
+                        )
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+            ):
+                klass = resolver.resolve_class(node.value.func)
+                if klass is not None:
+                    bindings.instances[node.targets[0].id] = klass
+        elif isinstance(node, ast.NamedExpr):
+            if isinstance(node.target, ast.Name):
+                assigned_values.setdefault(node.target.id, []).append(
+                    node.value
+                )
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            # Loop targets rebind per iteration: never fork-eligible.
+            for name_node in ast.walk(node.target):
+                if isinstance(name_node, ast.Name):
+                    store_counts[name_node.id] = (
+                        store_counts.get(name_node.id, 0) + 2
+                    )
+    return bindings
+
+
 class _SeedScanner:
     """One function's seed-flow facts: taint, sinks, consumptions."""
 
@@ -232,6 +294,7 @@ class _SeedScanner:
         resolver: Resolver,
         module: ModuleInfo,
         info: FunctionInfo,
+        bindings: _Bindings,
         summaries: Dict[str, _Summary],
     ):
         self.model = model
@@ -242,60 +305,20 @@ class _SeedScanner:
         self.summary = _Summary()
         self.violations: List[Violation] = []
         self._consumptions: List[_Consumption] = []
-        #: name → number of Store bindings in the body.
-        self._store_counts: Dict[str, int] = {}
-        #: name → all value exprs assigned to it (for taint + eligibility).
-        self._assigned_values: Dict[str, List[ast.expr]] = {}
-        #: local name → project class qualname (``x = ClassName(...)``).
-        self._instances: Dict[str, str] = {}
+        self._store_counts = bindings.store_counts
+        self._assigned_values = bindings.assigned_values
+        self._instances = bindings.instances
         self._tainted: Dict[str, str] = {}
-        self._collect_bindings()
+        #: callees whose summaries this scan read (its only inputs that
+        #: change between fixpoint rounds).
+        self.consulted: Set[str] = set()
         self._compute_taint()
 
-    # -- binding / taint pre-passes ------------------------------------
-    def _collect_bindings(self) -> None:
-        for node in ast.walk(self.info.node):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                self._store_counts[node.id] = (
-                    self._store_counts.get(node.id, 0) + 1
-                )
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                value = node.value
-                if value is None:
-                    continue
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            self._assigned_values.setdefault(
-                                name_node.id, []
-                            ).append(value)
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                ):
-                    klass = self.resolver.resolve_class(node.value.func)
-                    if klass is not None:
-                        self._instances[node.targets[0].id] = klass
-            elif isinstance(node, ast.NamedExpr):
-                if isinstance(node.target, ast.Name):
-                    self._assigned_values.setdefault(
-                        node.target.id, []
-                    ).append(node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-                # Loop targets rebind per iteration: never fork-eligible.
-                for name_node in ast.walk(node.target):
-                    if isinstance(name_node, ast.Name):
-                        self._store_counts[name_node.id] = (
-                            self._store_counts.get(name_node.id, 0) + 2
-                        )
+    def _callee_summary(self, qualname: str) -> Optional[_Summary]:
+        self.consulted.add(qualname)
+        return self.summaries.get(qualname)
 
+    # -- taint pre-pass -------------------------------------------------
     def _entropy_call_desc(self, call: ast.Call) -> Optional[str]:
         func = call.func
         if isinstance(func, ast.Name):
@@ -379,7 +402,7 @@ class _SeedScanner:
                     return desc
                 resolved = self._resolve_call(node)
                 if resolved is not None:
-                    callee_summary = self.summaries.get(
+                    callee_summary = self._callee_summary(
                         resolved[0].qualname
                     )
                     if callee_summary and callee_summary.returns_entropy:
@@ -465,7 +488,7 @@ class _SeedScanner:
         if resolved is None:
             return
         callee, offset = resolved
-        callee_summary = self.summaries.get(callee.qualname)
+        callee_summary = self._callee_summary(callee.qualname)
         if callee_summary is None or not callee_summary.param_sinks:
             return
         for index, arg in self._map_args(call, callee, offset):
@@ -661,23 +684,45 @@ def _solve(
     summaries: Dict[str, _Summary] = {
         qualname: _Summary() for qualname in model.functions
     }
+    resolvers = {
+        name: Resolver(model, module) for name, module in model.modules.items()
+    }
+    bindings = {
+        info.qualname: _collect_bindings(info, resolvers[info.module])
+        for info in model.iter_functions()
+    }
     scanners: Dict[str, _SeedScanner] = {}
+    # Between rounds only the summaries change, so each round re-scans
+    # just the functions that read a summary the last round changed.
+    pending = set(model.functions)
     for _ in range(8):
-        scanners = {}
         for info in model.iter_functions():
-            module = model.module_of(info)
+            if info.qualname not in pending:
+                continue
             scanner = _SeedScanner(
-                model, Resolver(model, module), module, info, summaries
+                model,
+                resolvers[info.module],
+                model.module_of(info),
+                info,
+                bindings[info.qualname],
+                summaries,
             )
             scanner.run()
             scanners[info.qualname] = scanner
-        changed = False
-        for qualname, scanner in scanners.items():
-            if scanner.summary != summaries[qualname]:
-                summaries[qualname] = scanner.summary
-                changed = True
+        changed = {
+            qualname
+            for qualname in pending
+            if scanners[qualname].summary != summaries[qualname]
+        }
         if not changed:
             break
+        for qualname in changed:
+            summaries[qualname] = scanners[qualname].summary
+        pending = {
+            qualname
+            for qualname, scanner in scanners.items()
+            if scanner.consulted & changed
+        }
     return summaries, scanners
 
 

@@ -466,9 +466,10 @@ _DFFS = _count("num_dff")
 _MODEL_GATES = _count("num_model_gates")
 
 #: The kernel's argument contract, one row per C parameter in C order.
-#: :func:`kernel_argtypes` is derived from it (and cross-checked
-#: against ``sta_kernel.c`` by :func:`repro.analysis.cabi.check_c_abi`);
-#: :class:`BoundKernel` checks every call against it.
+#: :func:`kernel_argtypes` is derived from it;
+#: :class:`BoundKernel` checks every call against it; and
+#: ``tests/timing/test_kernel_contract.py`` compares it with the C
+#: prototype in ``sta_kernel.c`` (names, types, ``const``-ness).
 KERNEL_ARGS: Tuple[KernelArg, ...] = (
     KernelArg("num_rows", _I64),
     KernelArg("num_model_gates", _I64),
@@ -619,21 +620,12 @@ def kernel_argtypes() -> List[type]:
     """The ctypes ``argtypes`` declaration for :data:`KERNEL_FUNCTION`.
 
     Derived from :data:`KERNEL_ARGS`.  This list is the Python side of
-    the C ABI contract with ``sta_kernel.c``; :mod:`repro.analysis.cabi`
-    cross-checks it against the parsed C prototype (arity, pointer
-    width, element dtype) so a skewed edit fails the lint gate instead
-    of corrupting memory in the native hot path.
+    the C ABI contract with ``sta_kernel.c``; a tier-1 test compares the
+    table with the C prototype (arity, names, element types, pointer
+    ``const``-ness, return type) so a skewed edit fails the suite
+    instead of corrupting memory in the native hot path.
     """
     return [arg.ctype for arg in KERNEL_ARGS]
-
-
-def kernel_abi() -> Dict[str, Tuple[List[type], Optional[type]]]:
-    """Every exported kernel entry point → (argtypes, restype).
-
-    The C-ABI cross-checker iterates this registry, so adding a kernel
-    entry point here is what puts it under the lint gate's protection.
-    """
-    return {KERNEL_FUNCTION: (kernel_argtypes(), KERNEL_RESTYPE)}
 
 
 def load_kernel() -> Optional[object]:

@@ -1,4 +1,4 @@
-"""Seeded REPRO-PAR002 violations: pool workers reach unseeded RNG.
+"""Pool workers reach unseeded RNG (REPRO-RNG001, REPRO-SEED001).
 
 ``sample_worker`` reaches legacy ``np.random.randn`` through a helper;
 ``entropy_worker`` constructs an unseeded ``default_rng()`` directly.

@@ -36,13 +36,16 @@ def test_complete_key_and_documented_skips_stay_clean():
     assert report.violations == []
 
 
-def test_live_tree_is_clean_and_inventory_covers_real_sites():
-    report = analyze_project_paths([SRC_REPRO], select=["REPRO-KEY001"])
-    rendered = "\n".join(v.format() for v in report.violations)
-    assert not report.violations, f"cache-key violations in src:\n{rendered}"
+def test_live_tree_is_clean_and_inventory_covers_real_sites(
+    src_repro_gate, src_repro_model
+):
+    found = [
+        v for v in src_repro_gate.violations if v.rule_id == "REPRO-KEY001"
+    ]
+    rendered = "\n".join(v.format() for v in found)
+    assert not found, f"cache-key violations in src:\n{rendered}"
 
-    model = ProjectModel.from_paths([SRC_REPRO])
-    paths = {p.replace("\\", "/") for p, _ in key_sites(model)}
+    paths = {p.replace("\\", "/") for p, _ in key_sites(src_repro_model)}
     # The pass must at least see the KLE disk-cache store, the placement
     # pass-through writer and the native-kernel module memo.
     for expected in (

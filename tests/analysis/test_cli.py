@@ -29,13 +29,13 @@ def broken_tree(tmp_path):
 
 
 def test_clean_tree_exits_zero(clean_tree, capsys):
-    assert main([str(clean_tree), "--no-cabi"]) == 0
+    assert main([str(clean_tree)]) == 0
     out = capsys.readouterr().out
     assert "repro-lint: clean (1 file(s) checked)" in out
 
 
 def test_violations_exit_one(broken_tree, capsys):
-    assert main([str(broken_tree), "--no-cabi"]) == 1
+    assert main([str(broken_tree)]) == 1
     out = capsys.readouterr().out
     assert "REPRO-RNG001" in out
     assert "REPRO-FLOAT001" in out
@@ -43,19 +43,19 @@ def test_violations_exit_one(broken_tree, capsys):
 
 
 def test_missing_path_is_usage_error(tmp_path, capsys):
-    assert main([str(tmp_path / "nope"), "--no-cabi"]) == 2
+    assert main([str(tmp_path / "nope")]) == 2
     assert "error" in capsys.readouterr().err
 
 
 def test_unknown_select_id_is_usage_error(clean_tree, capsys):
-    code = main([str(clean_tree), "--no-cabi", "--select", "NO-SUCH"])
+    code = main([str(clean_tree), "--select", "NO-SUCH"])
     assert code == 2
     assert "unknown rule ids" in capsys.readouterr().err
 
 
 def test_select_narrows_to_one_rule(broken_tree, capsys):
     code = main(
-        [str(broken_tree), "--no-cabi", "--select", "REPRO-FLOAT001"]
+        [str(broken_tree), "--select", "REPRO-FLOAT001"]
     )
     assert code == 1
     out = capsys.readouterr().out
@@ -67,7 +67,6 @@ def test_ignore_drops_rules(broken_tree, capsys):
     code = main(
         [
             str(broken_tree),
-            "--no-cabi",
             "--ignore",
             "REPRO-RNG001,REPRO-FLOAT001,REPRO-DEF001",
         ]
@@ -77,18 +76,17 @@ def test_ignore_drops_rules(broken_tree, capsys):
 
 
 def test_json_report_is_machine_readable(broken_tree, capsys):
-    assert main([str(broken_tree), "--no-cabi", "--json"]) == 1
+    assert main([str(broken_tree), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     assert payload["summary"]["clean"] is False
-    assert payload["cabi"]["checked"] is False
     rules_hit = {v["rule"] for v in payload["violations"]}
     assert "REPRO-RNG001" in rules_hit
     assert {entry["id"] for entry in payload["rules"]} >= rules_hit
 
 
 def test_json_clean_report(clean_tree, capsys):
-    assert main([str(clean_tree), "--no-cabi", "--json"]) == 0
+    assert main([str(clean_tree), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["clean"] is True
     assert payload["violations"] == []
@@ -126,14 +124,14 @@ def mixed_tree(tmp_path):
 def test_mixed_tree_exits_two(mixed_tree, capsys):
     # An unparseable file means the report is incomplete — that is an
     # infrastructure failure (exit 2), not a mere finding (exit 1).
-    assert main([str(mixed_tree), "--no-cabi"]) == 2
+    assert main([str(mixed_tree)]) == 2
     out = capsys.readouterr().out
     assert "REPRO-SYNTAX" in out
     assert "REPRO-RNG001" in out
 
 
 def test_mixed_tree_json_is_valid_and_complete(mixed_tree, capsys):
-    assert main([str(mixed_tree), "--no-cabi", "--json"]) == 2
+    assert main([str(mixed_tree), "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 2
     rules_hit = {v["rule"] for v in payload["violations"]}
@@ -146,9 +144,9 @@ def test_no_project_skips_whole_program_checks(tmp_path, capsys):
         '"""Doc."""\n\n'
         "VALUE = 1  # repro-lint: disable=REPRO-RNG001\n"
     )
-    assert main([str(tmp_path), "--no-cabi"]) == 1
+    assert main([str(tmp_path)]) == 1
     assert "REPRO-LINT001" in capsys.readouterr().out
-    assert main([str(tmp_path), "--no-cabi", "--no-project"]) == 0
+    assert main([str(tmp_path), "--no-project"]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -157,10 +155,10 @@ def test_list_rules_includes_project_checks(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "REPRO-PAR001",
-        "REPRO-PAR002",
         "REPRO-LINT001",
     ):
         assert rule_id in out
+    assert "REPRO-PAR002" not in out  # retired: RNG001/SEED001 cover it
 
 
 def test_explain_covers_every_registered_rule(capsys):
@@ -182,17 +180,3 @@ def test_explain_unknown_rule_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "REPRO-NOPE999" in err
     assert "REPRO-RNG001" in err  # lists the known ids
-
-
-def test_cabi_only_skips_lint(broken_tree, capsys):
-    # Lint violations in the tree are ignored; only the (passing) live
-    # ABI check decides the exit code.
-    assert main([str(broken_tree), "--cabi-only"]) == 0
-    out = capsys.readouterr().out
-    assert "REPRO-RNG001" not in out
-
-
-def test_cabi_check_runs_by_default(clean_tree, capsys):
-    assert main([str(clean_tree)]) == 0
-    out = capsys.readouterr().out
-    assert "clean" in out

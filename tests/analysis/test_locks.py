@@ -9,13 +9,10 @@ multi-file findings.
 
 from pathlib import Path
 
-import repro
 from repro.analysis import analyze_project_paths
 from repro.analysis.locks import lock_classes, worker_roots
-from repro.analysis.project import ProjectModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC_REPRO = Path(repro.__file__).resolve().parent
 
 LOCK_SELECT = ["REPRO-LOCK001", "REPRO-LOCK002"]
 
@@ -58,13 +55,16 @@ def test_chain_line_suppression_is_honored_and_stale_one_reported():
     assert found == [("REPRO-LINT001", 29)]
 
 
-def test_live_tree_is_clean_and_pass_sees_real_lock_owners():
-    report = analyze_project_paths([SRC_REPRO], select=LOCK_SELECT)
-    rendered = "\n".join(v.format() for v in report.violations)
-    assert not report.violations, f"lock violations in src:\n{rendered}"
+def test_live_tree_is_clean_and_pass_sees_real_lock_owners(
+    src_repro_gate, src_repro_model
+):
+    found = [
+        v for v in src_repro_gate.violations if v.rule_id in LOCK_SELECT
+    ]
+    rendered = "\n".join(v.format() for v in found)
+    assert not found, f"lock violations in src:\n{rendered}"
 
-    model = ProjectModel.from_paths([SRC_REPRO])
-    owners = lock_classes(model)
+    owners = lock_classes(src_repro_model)
     for expected in (
         "Scheduler",
         "ResultStream",
@@ -76,7 +76,7 @@ def test_live_tree_is_clean_and_pass_sees_real_lock_owners():
             f"lock pass no longer sees {expected}; owners={owners}"
         )
 
-    roots = worker_roots(model)
+    roots = worker_roots(src_repro_model)
     root_paths = {root.path.replace("\\", "/") for root in roots}
     assert any("service/" in p for p in root_paths), (
         "no worker roots discovered in the service layer — reachability "

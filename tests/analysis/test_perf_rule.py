@@ -12,7 +12,6 @@ def perf_violations(fixture: str):
     report = analyze_project_paths(
         [FIXTURES / "timing" / fixture],
         select={PERF_RULE_ID},
-        use_cache=False,
     )
     return [v for v in report.violations if v.rule_id == PERF_RULE_ID]
 

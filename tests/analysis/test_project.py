@@ -1,15 +1,14 @@
 """Tests for the whole-program project model and name resolution."""
 
-from pathlib import Path
+import ast
+import tokenize
 
-import repro
+from repro.analysis import analyze_project_paths
 from repro.analysis.project import (
     ProjectModel,
     Resolver,
     function_parameters,
 )
-
-SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
 def _write_project(tmp_path):
@@ -84,17 +83,37 @@ def test_unparseable_files_are_skipped(tmp_path):
 
 
 def test_function_parameters_excludes_varargs():
-    import ast
-
     node = ast.parse(
         "def f(a, b, /, c, *args, d, **kwargs):\n    pass\n"
     ).body[0]
     assert function_parameters(node) == ("a", "b", "c", "d")
 
 
-def test_src_repro_model_contains_the_native_boundary():
-    model = ProjectModel.from_paths([SRC_REPRO])
+def test_src_repro_model_contains_the_native_boundary(src_repro_model):
+    model = src_repro_model
     assert "repro.timing.native" in model.modules
     assert "repro.timing.native.load_kernel" in model.functions
     native = model.modules["repro.timing.native"]
     assert native.imports.get("ctypes") == "ctypes"
+
+
+def test_gate_parses_and_tokenizes_each_file_once(tmp_path, monkeypatch):
+    # The per-file rules and the whole-program passes share one tree per
+    # file, and the suppression table is the only tokenizer pass.
+    project = _write_project(tmp_path)
+    calls = {"parse": 0, "tokenize": 0}
+    real_parse, real_tokenize = ast.parse, tokenize.generate_tokens
+
+    def counting_parse(*args, **kwargs):
+        calls["parse"] += 1
+        return real_parse(*args, **kwargs)
+
+    def counting_tokenize(*args, **kwargs):
+        calls["tokenize"] += 1
+        return real_tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(tokenize, "generate_tokens", counting_tokenize)
+    report = analyze_project_paths([project])
+    assert report.files_checked == 3
+    assert calls == {"parse": 3, "tokenize": 3}

@@ -8,16 +8,14 @@ would look identical to a clean run.
 
 from pathlib import Path
 
-import repro
 from repro.analysis import analyze_project_paths
-from repro.analysis.project import ProjectModel
 from repro.analysis.seedflow import sink_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC_REPRO = Path(repro.__file__).resolve().parent
+SEED_IDS = ("REPRO-SEED001", "REPRO-SEED002")
 
 
-def _gate(fixture, select=("REPRO-SEED001", "REPRO-SEED002")):
+def _gate(fixture, select=SEED_IDS):
     report = analyze_project_paths([FIXTURES / fixture], select=list(select))
     return report.violations
 
@@ -42,15 +40,14 @@ def test_sanctioned_shapes_stay_clean():
     assert _gate("seed_good.py") == []
 
 
-def test_live_tree_is_clean_and_scope_covers_all_packages():
-    report = analyze_project_paths(
-        [SRC_REPRO], select=["REPRO-SEED001", "REPRO-SEED002"]
-    )
-    rendered = "\n".join(v.format() for v in report.violations)
-    assert not report.violations, f"seed-flow violations in src:\n{rendered}"
+def test_live_tree_is_clean_and_scope_covers_all_packages(
+    src_repro_gate, src_repro_model
+):
+    found = [v for v in src_repro_gate.violations if v.rule_id in SEED_IDS]
+    rendered = "\n".join(v.format() for v in found)
+    assert not found, f"seed-flow violations in src:\n{rendered}"
 
-    model = ProjectModel.from_paths([SRC_REPRO])
-    paths = {p.replace("\\", "/") for p, _ in sink_sites(model)}
+    paths = {p.replace("\\", "/") for p, _ in sink_sites(src_repro_model)}
     for package in ("service/", "solvers/", "mlmc/"):
         assert any(package in p for p in paths), (
             f"seed-flow pass inspected no sink in {package} — "

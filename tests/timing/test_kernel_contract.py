@@ -8,12 +8,16 @@ pointer argument.  Each mutation below breaks one row and must raise
 is needed.  The first two mutations are textual edits of a copy of
 ``compiled.py`` (the same allocation bugs a static prover would have to
 find); the rest corrupt a compiled program's tables or the per-block
-projection at run time.
+projection at run time.  The table itself is checked against the C
+prototype in ``sta_kernel.c``, and seeded edits of that prototype must
+fail the check.
 """
 
+import ctypes
 import importlib.util
 import itertools
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +26,6 @@ import pytest
 
 import repro.timing.compiled as compiled
 import repro.timing.sta as sta
-from repro.analysis.cabi import parse_c_prototypes
 from repro.circuit.generate import generate_circuit
 from repro.place.placer import place_netlist
 from repro.timing import native
@@ -96,17 +99,155 @@ def _expect_violation(fake, engine, argument, threads=1, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# The table itself.
+# The table itself, against the C prototype.
 # ----------------------------------------------------------------------
+#: The only C parameter types the kernel uses, as ctypes types.
+_C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+#: Seeded edits of the prototype; each must fail the check, with this
+#: fragment in the failure message.
+_PROTOTYPE_MUTATIONS = {
+    "drop-parameter": ("const double *dff_m2, ", "", "parameter names"),
+    "drop-first-parameter": ("int64_t num_rows,", "", "parameter names"),
+    "int32-for-int64": (
+        "int64_t num_threads",
+        "int32_t num_threads",
+        "unmapped C type",
+    ),
+    "int32-for-int64-pointer": (
+        "const int64_t *g_id",
+        "const int32_t *g_id",
+        "unmapped C type",
+    ),
+    "int64-for-double-pointer": (
+        "const double *g_bd",
+        "const int64_t *g_bd",
+        "types differ",
+    ),
+    "float-pointer-for-first-parameter": (
+        "int64_t num_rows",
+        "float *num_rows",
+        "unmapped C type",
+    ),
+    "double-for-pointer": ("double *scratch", "double scratch", "types"),
+    "renamed-parameter": ("g_ssl", "g_slew", "parameter names"),
+    "input-loses-const": ("const double *p_wd", "double *p_wd", "outputs"),
+    "non-void-return": (
+        f"void {native.KERNEL_FUNCTION}(",
+        f"int {native.KERNEL_FUNCTION}(",
+        "returns",
+    ),
+}
+
+
+def _kernel_source():
+    return native.kernel_source_path().read_text(encoding="utf-8")
+
+
+def _strip_comments(source):
+    return re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.DOTALL)
+
+
+def _check_c_prototype(source):
+    """Assert that the kernel's C definition matches ``KERNEL_ARGS``.
+
+    Comments are stripped and the one prototype is read with a regex.
+    Checked: the return type is ``void``; names in order (so arity);
+    ``int64_t``/``double`` map to ``c_int64``/``c_double``, one ``*`` to
+    ``POINTER``; the non-``const`` pointers are exactly the writeable
+    rows.  A parameter or type the regex cannot map fails the check.
+    Returns the ctypes types read from the C parameters, in order.
+    """
+    text = _strip_comments(source)
+    match = re.search(
+        rf"\b(\w+)\s+{native.KERNEL_FUNCTION}\s*\(([^)]*)\)\s*{{", text
+    )
+    assert match, f"no definition of {native.KERNEL_FUNCTION}"
+    restype, raw_params = match.groups()
+    assert restype == "void" and native.KERNEL_RESTYPE is None, (
+        f"{native.KERNEL_FUNCTION} returns {restype!r}, the table void"
+    )
+    names, ctypes_, outputs = [], [], []
+    for raw in raw_params.split(","):
+        decl = re.fullmatch(r"\s*(const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", raw)
+        assert decl, f"unreadable C parameter {raw.strip()!r}"
+        const, base, star, name = decl.groups()
+        assert base in _C_TYPES, f"unmapped C type {base!r} of {name!r}"
+        names.append(name)
+        ctypes_.append(ctypes.POINTER(_C_TYPES[base]) if star else _C_TYPES[base])
+        if star and not const:
+            outputs.append(name)
+    table = native.KERNEL_ARGS
+    assert names == [arg.name for arg in table], (
+        f"parameter names differ: C {names}, table {[a.name for a in table]}"
+    )
+    assert ctypes_ == [arg.ctype for arg in table], "parameter types differ"
+    assert outputs == [arg.name for arg in table if arg.writeable], (
+        f"non-const pointers {outputs} are not the writeable (outputs) rows"
+    )
+    return ctypes_
+
+
 def test_table_names_and_order_match_the_c_prototype():
-    source = native.kernel_source_path().read_text(encoding="utf-8")
-    prototype = parse_c_prototypes(source)[native.KERNEL_FUNCTION]
-    assert [p.name for p in prototype.parameters] == [
-        arg.name for arg in native.KERNEL_ARGS
-    ]
-    assert native.kernel_argtypes() == [
-        arg.ctype for arg in native.KERNEL_ARGS
-    ]
+    _check_c_prototype(_kernel_source())
+
+
+def test_kernel_argtypes_match_the_c_prototype():
+    assert native.kernel_argtypes() == _check_c_prototype(_kernel_source())
+    assert native.KERNEL_RESTYPE is None
+
+
+def test_source_exports_one_entry_point():
+    text = _strip_comments(_kernel_source())
+    # File-scope definitions start in column 0; static ones are private.
+    exported = re.findall(
+        r"^(?!static\b|typedef\b)\w[\w\s*]*?\b(\w+)\s*\(", text, re.MULTILINE
+    )
+    assert exported == [native.KERNEL_FUNCTION] == ["sta_eval_gates_mt"]
+    # The signature ends with the worker count.
+    assert native.KERNEL_ARGS[-1].name == "num_threads"
+    assert native.kernel_argtypes()[-1] is ctypes.c_int64
+
+
+def test_loader_binds_the_table_signature(monkeypatch, tmp_path):
+    """``load_kernel`` declares the C prototype's types on the symbol.
+
+    A fake ``CDLL`` stands in for the built library, so no C compiler
+    is needed: the test only sees what the loader declares.
+    """
+
+    class FakeLibrary:
+        def __init__(self, path):
+            setattr(self, native.KERNEL_FUNCTION, FakeKernel())
+
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "_cached", None)
+    monkeypatch.setattr(native, "_cached_key", None)
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibrary)
+    key = native._build_key(
+        native.kernel_source_path().read_bytes(), native._effective_cflags()
+    )
+    library = tmp_path / "native" / f"sta_kernel_{key}.so"
+    library.parent.mkdir()
+    library.touch()
+    fn = native.load_kernel()
+    assert isinstance(fn, FakeKernel)
+    assert fn.argtypes == _check_c_prototype(_kernel_source())
+    assert fn.restype is None
+
+
+@pytest.mark.parametrize("mutation", sorted(_PROTOTYPE_MUTATIONS))
+def test_seeded_prototype_edit_fails_the_check(mutation):
+    old, new, reason = _PROTOTYPE_MUTATIONS[mutation]
+    source = _kernel_source()
+    start = source.index(f"void {native.KERNEL_FUNCTION}(")
+    end = source.index("{", start)
+    prototype = source[start:end]
+    assert old in prototype, f"mutation anchor not found: {old!r}"
+    mutated = source[:start] + prototype.replace(old, new, 1) + source[end:]
+    with pytest.raises(AssertionError, match=reason):
+        _check_c_prototype(mutated)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
