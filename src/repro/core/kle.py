@@ -230,7 +230,7 @@ class KLEResult:
         if triangle_indices is None:
             triangle_indices = self.locator.locate_many(points)
         samples = self.sample_triangle_values(num_samples, r=r, seed=seed)
-        return samples[:, triangle_indices]
+        return np.take(samples, triangle_indices, axis=1)
 
     def reconstruct_kernel(
         self,

@@ -5,6 +5,8 @@
 - :class:`GridModel` / :class:`GridPCA` — the grid-based baseline [5].
 - :class:`CholeskySampleGenerator` / :class:`KLESampleGenerator` — the
   paper's Algorithm 1 and Algorithm 2 parameter-sample generators.
+- :class:`FieldSamples` / :class:`GateBasis` — Algorithm 2 samples kept
+  factored as ξ plus the ξ → gate map (:func:`gate_basis`).
 """
 
 from repro.field.random_field import RandomField
@@ -16,8 +18,11 @@ from repro.field.grid_model import (
 )
 from repro.field.sampling import (
     CholeskySampleGenerator,
+    FieldSamples,
+    GateBasis,
     KLESampleGenerator,
     SampleGenerationResult,
+    gate_basis,
 )
 
 __all__ = [
@@ -29,4 +34,7 @@ __all__ = [
     "CholeskySampleGenerator",
     "KLESampleGenerator",
     "SampleGenerationResult",
+    "FieldSamples",
+    "GateBasis",
+    "gate_basis",
 ]

@@ -1,24 +1,41 @@
 """The paper's two Monte-Carlo parameter-sample generators (§5.1).
 
-Both produce, for each statistical parameter ``p_j`` (L, W, Vt, tox), an
-``N × N_g`` matrix of normalized parameter values — one row per MC sample,
+Both give, for each statistical parameter ``p_j`` (L, W, Vt, tox), an
+``N × N_g`` field of normalized parameter values — one row per MC sample,
 one column per gate — following that parameter's covariance kernel.  The
 parameters are mutually independent (paper §2.1 assumption).
 
 - :class:`CholeskySampleGenerator` — **Algorithm 1**, the exact reference:
   assemble the full ``N_g × N_g`` gate covariance, factorize, multiply.
   Cost grows as ``O(N_g³)`` for the factorization plus ``O(N · N_g²)`` for
-  the sampling — the dimensionality wall the paper attacks.
+  the sampling — the dimensionality wall the paper attacks.  Its samples
+  are plain per-parameter matrices.
 - :class:`KLESampleGenerator` — **Algorithm 2**, the paper's method: draw
-  ``N × r`` iid normals, map through ``D_λ`` (r ≈ 25), then gather each
-  gate's containing-triangle row.  Cost ``O(N · r · n + N_g)``.
+  ``N × r`` iid normals per parameter (r ≈ 25) and map them through
+  ``D_λ`` and each gate's containing triangle (eq. 28).  The samples stay
+  in that factored form, :class:`FieldSamples`: the ``(N, Σr)`` ξ draw
+  plus the placement's ξ → gate map, :class:`GateBasis`.  A parameter's
+  ``(N, N_g)`` field is built only when a caller reads it; the timing
+  engine instead projects ξ straight to ``u = Ξ W`` with one GEMM per
+  sample set.  ``generate_seconds`` therefore covers only the ξ draw on
+  this path — the GEMM is timing work — so compare whole-flow totals
+  (``SSTARun.total_seconds``, the Table-1 speedup), not the split.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -35,14 +52,17 @@ class SampleGenerationResult:
     Attributes
     ----------
     samples:
-        Mapping parameter name → ``(N, N_g)`` normalized sample matrix.
+        Mapping parameter name → ``(N, N_g)`` normalized sample matrix: a
+        dict from Algorithm 1, a :class:`FieldSamples` from Algorithm 2.
     setup_seconds:
         One-time cost (Cholesky factorization / gate-to-triangle lookup).
     generate_seconds:
-        Per-run sampling cost (random draws and matrix products).
+        Per-run sampling cost.  Algorithm 1: the draws and the Cholesky
+        products.  Algorithm 2: the ξ draw only — its projection to the
+        gates runs inside :meth:`~repro.timing.sta.STAEngine.run`.
     """
 
-    samples: Dict[str, np.ndarray]
+    samples: Mapping[str, np.ndarray]
     setup_seconds: float = 0.0
     generate_seconds: float = 0.0
 
@@ -163,6 +183,195 @@ class CholeskySampleGenerator:
         return SampleGenerationResult(samples, setup_seconds, generate_seconds)
 
 
+@dataclass(frozen=True)
+class ParameterBasis:
+    """One parameter's share of a :class:`GateBasis`.
+
+    The parameter owns ξ columns ``offset : offset + rank``;
+    ``d_lambda`` is its ``(nt, r)`` reconstruction matrix
+    ``D_λ = D_r √Λ_r``, ``triangles`` each gate's containing triangle and
+    ``rows = d_lambda[triangles]`` the ``(N_g, r)`` gate rows.
+    """
+
+    name: str
+    offset: int
+    rank: int
+    d_lambda: np.ndarray
+    triangles: np.ndarray
+    rows: np.ndarray
+
+    def field(self, xi: np.ndarray) -> np.ndarray:
+        """The unmixed ``(N, N_g)`` gate field ``(ξ_j D_λᵀ)[:, tri]``.
+
+        Gathered with ``np.take`` so the result is C-ordered (a fancy
+        column index would return a Fortran-ordered copy of the same
+        values, which row-block readers stride through).
+        """
+        block = xi[:, self.offset : self.offset + self.rank]
+        return np.take(block @ self.d_lambda.T, self.triangles, axis=1)
+
+
+class GateBasis:
+    """Algorithm 2's ξ → gate map on one placement (paper eq. 28).
+
+    Parameter ``j``'s gate field is ``(ξ_j D_λ,jᵀ)[:, tri_j]``; with a
+    parameter cross-correlation ``C`` the fields are then mixed by its
+    lower Cholesky factor ``mix`` (the separable ``C ⊗ K`` model).  Every
+    step is linear in ξ, so the rank-one projection
+    ``u = Σ_j w_j ⊙ p_j`` of per-gate weights ``w`` is ``u = Ξ W`` with
+    ``Wᵀ = sensitivity(w)`` — one GEMM instead of four gathered fields.
+    Build one with :func:`gate_basis`.
+    """
+
+    def __init__(
+        self,
+        parameters: Sequence[ParameterBasis],
+        mix: Optional[np.ndarray] = None,
+    ):
+        self.parameters: Tuple[ParameterBasis, ...] = tuple(parameters)
+        self.names: Tuple[str, ...] = tuple(p.name for p in self.parameters)
+        self._index = {name: j for j, name in enumerate(self.names)}
+        self.mix = mix
+        self.num_gates = int(self.parameters[0].triangles.size)
+        #: Σr: the width of a ξ draw.
+        self.dimension = sum(p.rank for p in self.parameters)
+
+    def field(self, xi: np.ndarray, name: str) -> np.ndarray:
+        """Materialize parameter ``name``'s ``(N, N_g)`` field from ξ."""
+        j = self._index[name]
+        if self.mix is None:
+            return self.parameters[j].field(xi)
+        return _mixed(self.mix, j, lambda k: self.parameters[k].field(xi))
+
+    def sensitivity(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``Wᵀ``: the ``(N_g, Σr)`` coupling of each gate's ``u`` to ξ.
+
+        Row ``g`` is ``[e_k(g) · D_λ,k[tri_k(g)]]_k`` where ``e = w``
+        without a mix and ``e_k = Σ_j mix[j, k] w_j`` with one.  Without
+        a mix every entry is one elementwise product.
+        """
+        columns = np.stack(
+            [np.asarray(weights[name], dtype=float) for name in self.names]
+        )
+        if self.mix is not None:
+            columns = self.mix.T @ columns
+        out = np.empty((self.num_gates, self.dimension))
+        for parameter, column in zip(self.parameters, columns):
+            stop = parameter.offset + parameter.rank
+            np.multiply(
+                column[:, None],
+                parameter.rows,
+                out=out[:, parameter.offset : stop],
+            )
+        return out
+
+
+def gate_basis(
+    kles: Mapping[str, KLEResult],
+    ranks: Mapping[str, int],
+    gate_locations: np.ndarray,
+    *,
+    mix: Optional[np.ndarray] = None,
+) -> GateBasis:
+    """Resolve each parameter's ``D_λ`` and gate triangles (Alg. 2 line 5).
+
+    Parameters take ξ columns in ``kles`` order; parameters sharing a KLE
+    object share its triangle lookup (and, at equal rank, its rows).
+    """
+    gate_locations = np.asarray(gate_locations, dtype=float).reshape(-1, 2)
+    triangles: Dict[int, np.ndarray] = {}
+    matrices: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+    parameters = []
+    offset = 0
+    for name, kle in kles.items():
+        rank = int(ranks[name])
+        key = id(kle)
+        if key not in triangles:
+            triangles[key] = kle.locator.locate_many(gate_locations)
+        if (key, rank) not in matrices:
+            d_lambda = kle.reconstruction_matrix(rank)
+            matrices[key, rank] = (d_lambda, d_lambda[triangles[key]])
+        d_lambda, rows = matrices[key, rank]
+        parameters.append(
+            ParameterBasis(name, offset, rank, d_lambda, triangles[key], rows)
+        )
+        offset += rank
+    return GateBasis(parameters, mix)
+
+
+class FieldSamples(Mapping[str, np.ndarray]):
+    """Algorithm 2 samples in factored form: ξ draws plus a :class:`GateBasis`.
+
+    A read-only mapping parameter name → ``(N, N_g)`` gate field that
+    builds a field only when it is read, so a consumer that needs only
+    the projection ``u`` (the timing engine, via :meth:`projection`)
+    never holds a per-parameter matrix.  ``parts`` are the ``(N_i, Σr)``
+    ξ draws of one or more sample sets stacked along the sample axis
+    (:meth:`concatenate`, for a batched sweep); each part keeps its own
+    GEMM, so its rows of ``u`` do not depend on what it is batched with.
+    """
+
+    def __init__(self, basis: GateBasis, parts: Sequence[np.ndarray]):
+        self.basis = basis
+        self.parts: Tuple[np.ndarray, ...] = tuple(parts)
+        self.num_samples = sum(part.shape[0] for part in self.parts)
+
+    @classmethod
+    def concatenate(
+        cls, samples: Sequence[Mapping[str, np.ndarray]]
+    ) -> "FieldSamples":
+        """Stack factored sample sets that share one basis, in order."""
+        basis: Optional[GateBasis] = None
+        parts: List[np.ndarray] = []
+        for item in samples:
+            if not isinstance(item, FieldSamples) or (
+                basis is not None and item.basis is not basis
+            ):
+                raise ValueError(
+                    "only factored samples sharing one basis can be stacked"
+                )
+            basis = item.basis
+            parts.extend(item.parts)
+        if basis is None:
+            raise ValueError("no samples to stack")
+        return cls(basis, parts)
+
+    @property
+    def xi(self) -> np.ndarray:
+        """The ``(N, Σr)`` ξ draw (parts stacked)."""
+        if len(self.parts) == 1:
+            return self.parts[0]
+        return np.concatenate(self.parts)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        fields = [self.basis.field(part, name) for part in self.parts]
+        return fields[0] if len(fields) == 1 else np.concatenate(fields)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.basis.names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.basis.names)
+
+    def __len__(self) -> int:
+        return len(self.basis.names)
+
+    def projection(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``u = Σ_j w_j ⊙ p_j`` for every sample, as ``u = Ξ W``.
+
+        One GEMM per part, each written into its own row slice of the
+        C-ordered ``(N, N_g)`` result.
+        """
+        sensitivity = self.basis.sensitivity(weights)
+        u = np.empty((self.num_samples, self.basis.num_gates))
+        start = 0
+        for part in self.parts:
+            stop = start + part.shape[0]
+            np.matmul(part, sensitivity.T, out=u[start:stop])
+            start = stop
+        return u
+
+
 class KLESampleGenerator:
     """Algorithm 2: reduced-dimensionality samples from a solved KLE.
 
@@ -194,9 +403,10 @@ class KLESampleGenerator:
         self.sampler = sampler
         self.kles = dict(kles)
         shared = len({id(k) for k in self.kles.values()}) == 1
-        self._cross_upper = _validate_cross_correlation(
+        cross_upper = _validate_cross_correlation(
             cross_correlation, len(self.kles), shared
         )
+        self._mix = None if cross_upper is None else cross_upper.T
         self.r: Dict[str, int] = {}
         for name, kle in self.kles.items():
             order = kle.select_truncation() if r is None else r
@@ -205,15 +415,11 @@ class KLESampleGenerator:
                     f"r={order} outside [1, {kle.num_eigenpairs}] for {name!r}"
                 )
             self.r[name] = order
-        self._reconstruction: Dict[str, np.ndarray] = {
-            name: kle.reconstruction_matrix(self.r[name])
-            for name, kle in self.kles.items()
-        }
-        self._triangle_cache: Dict[int, np.ndarray] = {}
+        self._basis: Optional[GateBasis] = None
         self._cached_locations: Optional[np.ndarray] = None
 
     def prepare(self, gate_locations: np.ndarray) -> float:
-        """Resolve each gate's containing triangle (Algorithm 2 line 5).
+        """Build the ξ → gate :class:`GateBasis` (Algorithm 2 line 5).
 
         Returns the setup wall-clock seconds; cached per location set.
         """
@@ -225,11 +431,9 @@ class KLESampleGenerator:
         ):
             return 0.0
         start = time.perf_counter()
-        self._triangle_cache.clear()
-        for kle in self.kles.values():
-            key = id(kle)
-            if key not in self._triangle_cache:
-                self._triangle_cache[key] = kle.locator.locate_many(gate_locations)
+        self._basis = gate_basis(
+            self.kles, self.r, gate_locations, mix=self._mix
+        )
         self._cached_locations = gate_locations.copy()
         return time.perf_counter() - start
 
@@ -240,38 +444,30 @@ class KLESampleGenerator:
         *,
         seed: SeedLike = None,
     ) -> SampleGenerationResult:
-        """Produce the per-parameter ``(N, N_g)`` sample matrices."""
+        """Draw ξ for ``num_samples`` samples, as :class:`FieldSamples`."""
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         setup_seconds = self.prepare(gate_locations)
+        assert self._basis is not None
         generators = spawn_generators(seed, len(self.kles))
         start = time.perf_counter()
-        raw: Dict[str, np.ndarray] = {}
         if self.sampler == "sobol":
             # One joint Sobol design over all parameters' RVs: slicing a
             # single low-discrepancy point set keeps the ξ blocks jointly
             # uniform.  (Independently scrambled engines are *strongly*
             # cross-correlated — a classic QMC pitfall.)
-            total_dims = sum(self.r[name] for name in self.kles)
-            joint = _draw_normals(
-                generators[0], num_samples, total_dims, "sobol"
+            xi = _draw_normals(
+                generators[0], num_samples, self._basis.dimension, "sobol"
             )
-            offset = 0
-            xi_blocks: Dict[str, np.ndarray] = {}
-            for name in self.kles:
-                xi_blocks[name] = joint[:, offset : offset + self.r[name]]
-                offset += self.r[name]
         else:
-            xi_blocks = {
-                name: _draw_normals(rng, num_samples, self.r[name], self.sampler)
-                for (name, _kle), rng in zip(self.kles.items(), generators)
-            }
-        for name, kle in self.kles.items():
-            d_lambda = self._reconstruction[name]  # (nt, r)
-            triangle_values = xi_blocks[name] @ d_lambda.T  # (N, nt)
-            gate_triangles = self._triangle_cache[id(kle)]
-            raw[name] = triangle_values[:, gate_triangles]
-        samples = _mix_parameters(raw, self._cross_upper)
+            xi = np.concatenate(
+                [
+                    _draw_normals(rng, num_samples, self.r[name], self.sampler)
+                    for name, rng in zip(self.kles, generators)
+                ],
+                axis=1,
+            )
+        samples = FieldSamples(self._basis, [np.ascontiguousarray(xi)])
         generate_seconds = time.perf_counter() - start
         return SampleGenerationResult(samples, setup_seconds, generate_seconds)
 
@@ -330,13 +526,20 @@ def _mix_parameters(
         return raw
     names = list(raw)
     lower = cross_upper.T
-    mixed: Dict[str, np.ndarray] = {}
-    for j, name in enumerate(names):
-        result = lower[j, 0] * raw[names[0]]
-        for k in range(1, j + 1):
-            # Structural sparsity of the Cholesky factor: entries are
-            # assigned exactly 0.0, never computed, so exact != is right.
-            if lower[j, k] != 0.0:  # repro-lint: disable=REPRO-FLOAT001
-                result = result + lower[j, k] * raw[names[k]]
-        mixed[name] = result
-    return mixed
+    return {
+        name: _mixed(lower, j, lambda k: raw[names[k]])
+        for j, name in enumerate(names)
+    }
+
+
+def _mixed(
+    lower: np.ndarray, j: int, raw: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Mixed field ``P_j = Σ_{k≤j} lower[j, k] · raw(k)``."""
+    result = lower[j, 0] * raw(0)
+    for k in range(1, j + 1):
+        # Structural sparsity of the Cholesky factor: entries are
+        # assigned exactly 0.0, never computed, so exact != is right.
+        if lower[j, k] != 0.0:  # repro-lint: disable=REPRO-FLOAT001
+            result = result + lower[j, k] * raw(k)
+    return result

@@ -296,32 +296,17 @@ class MLMCEstimator:
         coarse: bool,
     ) -> np.ndarray:
         """Evaluate one member of a coupled pair on a drawn batch."""
-        if model.timer == "linear":
-            surrogate = self._surrogate_for(model)
-            if coarse:
-                xi = draw.xi_concat(ranks=dict(model.ranks))
-            else:
-                xi = draw.xi_concat()
-            return surrogate.worst_delay(xi)
         fields = draw.coarse_fields if coarse else draw.fine_fields
-        if fields is None:
-            raise RuntimeError(
-                "gate fields were not generated for an STA-timed level"
-            )
+        assert fields is not None, "level 0 has no coarse member"
+        if model.timer == "linear":
+            return self._surrogate_for(model).worst_delay(fields.xi)
         return self.engine.run(fields).worst_delay
 
     def _run_batch(self, level: int, state: _LevelState, count: int) -> None:
         """Draw and evaluate ``count`` coupled samples at ``level``."""
         model = self._models[level]
         coarse_model = self._models[level - 1] if level > 0 else None
-        draw = self._samplers[level].generate(
-            count,
-            seed=state.stream,
-            need_fine_fields=model.timer == "sta",
-            need_coarse_fields=(
-                coarse_model is not None and coarse_model.timer == "sta"
-            ),
-        )
+        draw = self._samplers[level].generate(count, seed=state.stream)
         state.generate_seconds += draw.seconds
         start = time.perf_counter()
         fine = self._worst(model, draw, coarse=False)

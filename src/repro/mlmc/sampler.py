@@ -16,8 +16,12 @@ own level's rank-``r`` KLE law, so every level's fine stream is a valid
 single-level KLE Monte-Carlo stream — the property the covariance-
 preservation tests pin down.
 
-The per-parameter draw order and arithmetic deliberately mirror
-:class:`repro.field.sampling.KLESampleGenerator` (``pseudo`` path), so a
+Both members are factored :class:`~repro.field.sampling.FieldSamples` over
+the one ξ → gate builder, :func:`~repro.field.sampling.gate_basis`: a
+draw holds only ξ until a caller reads a field, and an STA-timed member
+is projected straight to ``u`` by the engine.  The fine member's draw
+order (one ``spawn_generators`` stream per parameter, ``pseudo`` normals)
+is that of :class:`repro.field.sampling.KLESampleGenerator`, so a
 degenerate single-level hierarchy reproduces plain Algorithm 2 sampling
 bit for bit under the same seed.
 """
@@ -26,42 +30,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.field.sampling import FieldSamples, GateBasis, gate_basis
 from repro.mlmc.hierarchy import LevelModel
 from repro.utils.rng import SeedLike, spawn_generators
-
-
-@dataclass(frozen=True)
-class _ParameterMap:
-    """Precompiled ξ → gate-field map for one parameter at one level."""
-
-    d_lambda: np.ndarray  # (nt, r): D_λ = D_r sqrt(Λ_r)
-    triangles: np.ndarray  # (N_g,) containing-triangle index per gate
-    rank: int
-
-
-def _build_maps(
-    model: LevelModel, gate_locations: np.ndarray
-) -> "Dict[str, _ParameterMap]":
-    """Resolve each parameter's reconstruction matrix and gate gather."""
-    gate_locations = np.asarray(gate_locations, dtype=float).reshape(-1, 2)
-    triangle_cache: Dict[int, np.ndarray] = {}
-    maps: Dict[str, _ParameterMap] = {}
-    for name in model.parameter_names:
-        kle = model.kles[name]
-        key = id(kle)
-        if key not in triangle_cache:
-            triangle_cache[key] = kle.locator.locate_many(gate_locations)
-        rank = int(model.ranks[name])
-        maps[name] = _ParameterMap(
-            d_lambda=kle.reconstruction_matrix(rank),
-            triangles=triangle_cache[key],
-            rank=rank,
-        )
-    return maps
 
 
 @dataclass
@@ -70,33 +45,27 @@ class CoupledDraw:
 
     Attributes
     ----------
-    xi:
-        Parameter name → ``(N, r_fine)`` iid standard normals (the fine
-        level's full block; the coarse level consumes the prefix).
-    fine_fields / coarse_fields:
-        Parameter name → ``(N, N_g)`` gate-field matrices, present only
-        when requested (surrogate-timed levels skip the field gather).
+    fine_fields:
+        The fine member: the ``(N, Σr_fine)`` ξ draw over the fine basis.
+    coarse_fields:
+        The coarse member — each parameter's ξ prefix over the coarse
+        basis — or ``None`` at level 0.
     seconds:
         Wall-clock spent generating this batch.
     """
 
-    xi: Dict[str, np.ndarray]
-    fine_fields: Optional[Dict[str, np.ndarray]]
-    coarse_fields: Optional[Dict[str, np.ndarray]]
+    fine_fields: FieldSamples
+    coarse_fields: Optional[FieldSamples]
     seconds: float
 
-    def xi_concat(self, ranks: Optional[Dict[str, int]] = None) -> np.ndarray:
-        """Concatenate per-parameter ξ blocks into one ``(N, d)`` matrix.
-
-        ``ranks`` optionally truncates each block to that parameter's
-        (coarse) prefix before concatenation.
-        """
-        blocks: List[np.ndarray] = []
-        for name, block in self.xi.items():
-            if ranks is not None:
-                block = block[:, : int(ranks[name])]
-            blocks.append(block)
-        return np.concatenate(blocks, axis=1)
+    @property
+    def xi(self) -> Dict[str, np.ndarray]:
+        """Parameter name → its ``(N, r_fine)`` block of the fine ξ."""
+        xi = self.fine_fields.xi
+        return {
+            p.name: xi[:, p.offset : p.offset + p.rank]
+            for p in self.fine_fields.basis.parameters
+        }
 
 
 class CoupledLevelSampler:
@@ -121,10 +90,6 @@ class CoupledLevelSampler:
     ):
         self.fine = fine
         self.coarse = coarse
-        self._fine_maps = _build_maps(fine, gate_locations)
-        self._coarse_maps = (
-            _build_maps(coarse, gate_locations) if coarse is not None else None
-        )
         if coarse is not None:
             if coarse.parameter_names != fine.parameter_names:
                 raise ValueError(
@@ -136,64 +101,66 @@ class CoupledLevelSampler:
                         f"coarse rank exceeds fine rank for {name!r}; "
                         "prefix coupling impossible"
                     )
-
-    def generate(
-        self,
-        num_samples: int,
-        *,
-        seed: SeedLike = None,
-        need_fine_fields: bool = True,
-        need_coarse_fields: bool = True,
-    ) -> CoupledDraw:
-        """Draw ``num_samples`` coupled samples.
-
-        The ``need_*_fields`` flags skip the (N, N_g) gate-field gather
-        for surrogate-timed members that only consume ξ.
-        """
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-        generators = spawn_generators(seed, len(self._fine_maps))
-        start = time.perf_counter()
-        xi: Dict[str, np.ndarray] = {}
-        fine_fields: Optional[Dict[str, np.ndarray]] = (
-            {} if need_fine_fields else None
-        )
-        coarse_fields: Optional[Dict[str, np.ndarray]] = (
-            {} if (need_coarse_fields and self._coarse_maps is not None)
+        self.fine_basis = gate_basis(fine.kles, fine.ranks, gate_locations)
+        self.coarse_basis: Optional[GateBasis] = (
+            gate_basis(coarse.kles, coarse.ranks, gate_locations)
+            if coarse is not None
             else None
         )
-        for (name, fmap), rng in zip(self._fine_maps.items(), generators):
-            block = rng.standard_normal((num_samples, fmap.rank))
-            xi[name] = block
-            if fine_fields is not None:
-                triangle_values = block @ fmap.d_lambda.T
-                fine_fields[name] = triangle_values[:, fmap.triangles]
-            if coarse_fields is not None:
-                cmap = self._coarse_maps[name]
-                coarse_values = block[:, : cmap.rank] @ cmap.d_lambda.T
-                coarse_fields[name] = coarse_values[:, cmap.triangles]
+        if self.coarse_basis is not None:
+            # Each coarse parameter reads the first r_coarse columns of
+            # its fine ξ block.
+            self._prefix = np.concatenate(
+                [
+                    np.arange(f.offset, f.offset + c.rank)
+                    for f, c in zip(
+                        self.fine_basis.parameters,
+                        self.coarse_basis.parameters,
+                    )
+                ]
+            )
+
+    def generate(
+        self, num_samples: int, *, seed: SeedLike = None
+    ) -> CoupledDraw:
+        """Draw ``num_samples`` coupled samples (ξ only; fields are lazy)."""
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        parameters = self.fine_basis.parameters
+        generators = spawn_generators(seed, len(parameters))
+        start = time.perf_counter()
+        xi = np.concatenate(
+            [
+                rng.standard_normal((num_samples, p.rank))
+                for p, rng in zip(parameters, generators)
+            ],
+            axis=1,
+        )
+        coarse: Optional[FieldSamples] = None
+        if self.coarse_basis is not None:
+            coarse = FieldSamples(
+                self.coarse_basis, [np.take(xi, self._prefix, axis=1)]
+            )
         seconds = time.perf_counter() - start
         return CoupledDraw(
-            xi=xi,
-            fine_fields=fine_fields,
-            coarse_fields=coarse_fields,
+            fine_fields=FieldSamples(self.fine_basis, [xi]),
+            coarse_fields=coarse,
             seconds=seconds,
         )
 
     def covariance_fine(self) -> np.ndarray:
         """Gate-level covariance implied by the fine model's first
         parameter — the target of the coupling property tests."""
-        return self._covariance(self._fine_maps)
+        return _covariance(self.fine_basis)
 
     def covariance_coarse(self) -> np.ndarray:
         """Gate-level covariance implied by the coarse model's first
         parameter (requires a coarse member)."""
-        if self._coarse_maps is None:
+        if self.coarse_basis is None:
             raise ValueError("level has no coarse member")
-        return self._covariance(self._coarse_maps)
+        return _covariance(self.coarse_basis)
 
-    @staticmethod
-    def _covariance(maps: "Dict[str, _ParameterMap]") -> np.ndarray:
-        pmap = next(iter(maps.values()))
-        gathered = pmap.d_lambda[pmap.triangles, :]  # (N_g, r)
-        return gathered @ gathered.T
+
+def _covariance(basis: GateBasis) -> np.ndarray:
+    rows = basis.parameters[0].rows  # (N_g, r)
+    return rows @ rows.T

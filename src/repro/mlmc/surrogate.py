@@ -24,8 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.field.sampling import FieldSamples, gate_basis
 from repro.mlmc.hierarchy import LevelModel
-from repro.mlmc.sampler import _build_maps
 from repro.timing.sta import STAEngine
 
 
@@ -60,31 +60,21 @@ class LinearDelaySurrogate:
             raise ValueError(f"step must be positive, got {step}")
         self.model = model
         self.step = float(step)
-        self._maps = _build_maps(model, gate_locations)
+        self._basis = gate_basis(model.kles, model.ranks, gate_locations)
         self._ranks: Dict[str, int] = {
-            name: pmap.rank for name, pmap in self._maps.items()
+            p.name: p.rank for p in self._basis.parameters
         }
-        self.dimension = sum(self._ranks.values())
+        self.dimension = self._basis.dimension
         start = time.perf_counter()
         self._build(engine)
         self.build_seconds = time.perf_counter() - start
-
-    def _fields_from_xi(self, xi: np.ndarray) -> Dict[str, np.ndarray]:
-        """Map concatenated ``(N, d)`` ξ rows to per-parameter gate fields."""
-        fields: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, pmap in self._maps.items():
-            block = xi[:, offset : offset + pmap.rank]
-            offset += pmap.rank
-            fields[name] = (block @ pmap.d_lambda.T)[:, pmap.triangles]
-        return fields
 
     def _build(self, engine: STAEngine) -> None:
         d, h = self.dimension, self.step
         design = np.zeros((2 * d + 1, d))
         design[1 : d + 1] = h * np.eye(d)
         design[d + 1 :] = -h * np.eye(d)
-        result = engine.run(self._fields_from_xi(design))
+        result = engine.run(FieldSamples(self._basis, [design]))
         self._end_names = tuple(sorted(result.end_arrivals))
         arrivals = np.stack(
             [result.end_arrivals[name] for name in self._end_names]
@@ -107,10 +97,10 @@ class LinearDelaySurrogate:
     def matches(self, model: LevelModel) -> bool:
         """Whether this surrogate was built for an equivalent ξ → field map
         (same KLE objects and ranks per parameter)."""
-        if model.parameter_names != tuple(self._maps):
+        if model.parameter_names != self._basis.names:
             return False
         return all(
             model.kles[name] is self.model.kles[name]
             and int(model.ranks[name]) == self._ranks[name]
-            for name in self._maps
+            for name in self._ranks
         )

@@ -4,7 +4,9 @@ Compatible requests (equal :meth:`AnalysisRequest.batch_key` — same
 circuit, kernel, rank and flow) are fused into shared STA sweeps: each
 round, every live request contributes its next chunk of parameter
 samples, the concatenated block runs through the resident engine *once*,
-and the rows are split back per request.
+and the rows are split back per request.  KLE chunks stay factored
+(:class:`~repro.field.sampling.FieldSamples`): each request's ξ is its
+own part, projected by its own GEMM into its rows of the sweep's ``u``.
 
 Determinism is structural, not statistical.  Each request consumes its
 own :class:`~repro.timing.ssta.SampleStream` — the very object a serial
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.field.sampling import FieldSamples
 from repro.service.faults import FaultInjector
 from repro.service.request import (
     AnalysisRequest,
@@ -116,9 +119,11 @@ def _generation_round(
 
 
 def _concatenate(
-    blocks: Sequence[Dict[str, np.ndarray]],
-) -> Dict[str, np.ndarray]:
-    """Stack per-request sample matrices along the sample axis."""
+    blocks: Sequence[Mapping[str, np.ndarray]],
+) -> Mapping[str, np.ndarray]:
+    """Stack per-request samples along the sample axis."""
+    if isinstance(blocks[0], FieldSamples):
+        return FieldSamples.concatenate(blocks)
     return {
         name: np.concatenate([block[name] for block in blocks])
         for name in blocks[0]

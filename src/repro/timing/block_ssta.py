@@ -33,6 +33,7 @@ from scipy.stats import norm
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
 from repro.core.kle import KLEResult
+from repro.field.sampling import gate_basis
 from repro.place.placer import Placement
 from repro.timing.library import STATISTICAL_PARAMETERS, CellLibrary
 from repro.timing.sta import STAEngine
@@ -210,29 +211,18 @@ class BlockSSTA:
         # Reuse the MC engine's precompiled wire models and nominal slews.
         self._engine = STAEngine(netlist, placement, self.library)
         self._gate_index = {g.name: i for i, g in enumerate(netlist.gates)}
-        locations = placement.gate_locations()
-        # Per-parameter gate coupling rows: (Ng, r_j) blocks of D_lambda.
-        offset = 0
-        self._blocks: Dict[str, Tuple[int, np.ndarray]] = {}
-        for name in self.parameters:
-            kle_j = self.kles[name]
-            tri = kle_j.locator.locate_many(locations)
-            rows = kle_j.reconstruction_matrix(self.r[name])[tri]  # (Ng, r_j)
-            self._blocks[name] = (offset, rows)
-            offset += self.r[name]
-        # All gates' global-basis rows at once from the packed model
-        # columns (the same PackedGateModels the MC engine projects
-        # with): sensitivity[g] = [w_j(g) · D_λ-row_j(g)]_j, (Ng, R).
-        packed = self._engine._packed_models
-        self._sensitivity = np.zeros(
-            (netlist.num_gates, self.num_global_rvs)
+        # All gates' global-basis rows at once: Wᵀ of the Algorithm 2
+        # basis under the packed model weights the MC engine projects
+        # with, sensitivity[g] = [w_j(g) · D_λ-row_j(g)]_j, (Ng, R).
+        basis = gate_basis(
+            {name: self.kles[name] for name in self.parameters},
+            self.r,
+            placement.gate_locations(),
         )
-        for name in self.parameters:
-            offset, rows = self._blocks[name]
-            weights = packed.parameter_weights(name)
-            self._sensitivity[:, offset : offset + self.r[name]] = (
-                weights[:, None] * rows
-            )
+        packed = self._engine._packed_models
+        self._sensitivity = basis.sensitivity(
+            {name: packed.parameter_weights(name) for name in self.parameters}
+        )
 
     def _gate_sensitivity_row(self, gate_name: str) -> np.ndarray:
         """Global-basis row of ``u = wᵀ p`` for one gate: (R,)."""

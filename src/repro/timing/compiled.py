@@ -31,13 +31,22 @@ Performance comes from four structural decisions:
 
 1. **Sample blocking.**  ``execute`` streams the sample axis in blocks
    sized (``BLOCK_BYTE_BUDGET``) so the arenas, the per-level
-   temporaries and the per-block ``u`` projection all stay
-   cache-resident; every sample matrix element is read from main memory
-   exactly once.  Per-sample results are independent, so blocked and
-   unblocked runs are bitwise identical.
-2. **Fused projection.**  The ``u = Σ_j w_j p_j`` projection is
-   accumulated per block straight from the caller's sample matrices —
-   the full ``(N, N_g)`` projection matrix is never materialized.
+   temporaries and the block's rows of ``u`` all stay cache-resident;
+   every sample element is read from main memory exactly once.
+   Per-sample results are independent, so blocked and unblocked runs
+   are bitwise identical.
+2. **One projection per sample set.**  Algorithm 2 samples arrive
+   factored (:class:`~repro.field.sampling.FieldSamples`), and the
+   engine hands ``execute`` their ``u = Ξ W`` — one GEMM per generated
+   sample set — whose row blocks are read in place; no per-parameter
+   ``(N, N_g)`` matrix exists.  The GEMM is deliberately not repeated
+   per block: BLAS rounds a row differently depending on how many rows
+   share the call and on its thread count, so per-block GEMMs would tie
+   the results to the block size (which depends on the kernel's thread
+   count) and to a request's offset in a batched sweep.  Plain
+   per-parameter matrices (Algorithm 1, hand-built dicts) are instead
+   accumulated into ``u`` block by block, straight from the caller's
+   matrices.
 3. **Fanin grouping.**  Gates within a level are reordered by fanin
    count so each group is a regular ``(N_b, G, k)`` reshape *view*
    (no ragged segments, no ``reduceat``), and per-gate coefficients
@@ -82,17 +91,19 @@ from repro.timing import native
 from repro.timing.library import GateTimingModel, pack_gate_models
 from repro.timing.wire import LN9, WireModel, pack_wire_models
 
-#: Byte budget for the per-block working set (the ``(N_b, N_g)``
-#: projection accumulator plus both arenas).  Kept well under typical
-#: last-level cache sizes so the hot loop runs out of cache instead of
-#: main memory; the sample matrices themselves are streamed and never
-#: counted against the budget.
+#: Byte budget for the per-block working set (the block's ``(N_b, N_g)``
+#: rows of ``u`` — an accumulator for per-parameter matrices, a view of
+#: a precomputed projection otherwise — plus both arenas).  Kept well
+#: under typical last-level cache sizes so the hot loop runs out of
+#: cache instead of main memory; the caller's sample matrices are
+#: streamed and never counted against the budget.
 BLOCK_BYTE_BUDGET = 96 * 1024 * 1024
 
 #: Byte budget for the native kernel's per-block working set.  Much
 #: tighter than the numpy budget: the kernel reads ``u`` column-wise
-#: (stride ``N_g`` doubles), so the whole ``(N_b, N_g)`` projection must
-#: stay cache-resident or every element costs a full cache-line fetch.
+#: (stride ``N_g`` doubles), so the block's ``(N_b, N_g)`` rows of ``u``
+#: must stay cache-resident or every element costs a full cache-line
+#: fetch.
 #: Measured on s15850/N=2000 the optimum is flat across 32–128 samples
 #: per block and ~35% faster than RAM-sized blocks.  With ``T`` kernel
 #: threads the budget is divided by ``T``: each worker owns ``1/T`` of
@@ -508,11 +519,12 @@ class CompiledTimingProgram:
     ) -> int:
         """Cache-friendly sample block size for this circuit.
 
-        The per-block working set is the ``u`` projection accumulator
-        (``2 × N_g`` doubles per sample, with its build temporary) plus
-        the two arenas (``2 × width``); per-level scratch only adds the
-        current level's width on top.  The block is sized so that set
-        fits in :data:`BLOCK_BYTE_BUDGET`.
+        The per-block working set is the block's rows of ``u``
+        (``2 × N_g`` doubles per sample: the accumulator and its build
+        temporary for per-parameter matrices, a precomputed projection's
+        rows otherwise) plus the two arenas (``2 × width``); per-level
+        scratch only adds the current level's width on top.  The block is
+        sized so that set fits in :data:`BLOCK_BYTE_BUDGET`.
         """
         if width is None:
             width = self.num_slots
@@ -565,6 +577,7 @@ class CompiledTimingProgram:
         parameter_products: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray]]
         ] = None,
+        projection: Optional[np.ndarray] = None,
         r_scales: Optional[np.ndarray] = None,
         c_scales: Optional[np.ndarray] = None,
         input_slew_ps: float,
@@ -578,8 +591,13 @@ class CompiledTimingProgram:
         parameter_products:
             ``(matrix, weights)`` pairs — each an ``(N, N_g)`` sample
             matrix and its per-gate sensitivity weight column — whose
-            products accumulate into the rank-one projection ``u = wᵀp``.
-            ``None`` runs a nominal analysis.
+            products accumulate into the rank-one projection ``u = wᵀp``
+            block by block.
+        projection:
+            A precomputed C-ordered ``(N, N_g)`` ``u`` (factored samples,
+            projected once per sample set); its row blocks are read in
+            place.  Pass at most one of ``parameter_products`` and
+            ``projection``; neither runs a nominal analysis.
         r_scales / c_scales:
             Optional ``(N, num_nets)`` wire R/C scale matrices in
             ``net_order`` column order (already validated by the engine).
@@ -602,6 +620,7 @@ class CompiledTimingProgram:
                 kernel,
                 num_samples,
                 parameter_products,
+                projection,
                 float(input_slew_ps),
                 keep_all,
                 native.resolve_thread_count(native_threads),
@@ -609,6 +628,7 @@ class CompiledTimingProgram:
         return self._execute_numpy(
             num_samples,
             parameter_products,
+            projection,
             r_scales,
             c_scales,
             float(input_slew_ps),
@@ -622,22 +642,23 @@ class CompiledTimingProgram:
         parameter_products: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray]]
         ],
+        projection: Optional[np.ndarray],
         keep_all: bool,
         evaluate: Callable[[int, int, Optional[np.ndarray]], np.ndarray],
     ) -> CompiledRunOutput:
         """The block loop both executors share.
 
-        Per sample block ``[start, stop)`` it accumulates the ``u``
-        projection straight from the caller's sample matrices, calls
-        ``evaluate(start, stop, u)`` — which returns the block's arrival
-        arena as a slot-major ``(width, rows)`` view — and gathers the
-        end arrivals and their worst-delay max.  Per-sample results are
-        independent of the blocking, so chunked runs stay bitwise
-        identical.
+        Per sample block ``[start, stop)`` it takes the block's rows of a
+        precomputed ``projection``, or else accumulates ``u`` straight
+        from the caller's sample matrices; calls ``evaluate(start, stop,
+        u)`` — which returns the block's arrival arena as a slot-major
+        ``(width, rows)`` view — and gathers the end arrivals and their
+        worst-delay max.  Per-sample results are independent of the
+        blocking, so chunked runs stay bitwise identical.
         """
         num_gates = self._packed_models.num_gates
         u_buffer = tmp_buffer = None
-        if parameter_products:
+        if parameter_products and projection is None:
             u_buffer = np.empty((block, num_gates))
             tmp_buffer = np.empty((block, num_gates))
         worst_idx = self._end_cols if keep_all else self._end_slots
@@ -649,7 +670,9 @@ class CompiledTimingProgram:
             stop = min(start + block, num_samples)
             rows = stop - start
             u = None
-            if parameter_products:
+            if projection is not None:
+                u = projection[start:stop]
+            elif parameter_products:
                 u = u_buffer[:rows]
                 tmp = tmp_buffer[:rows]
                 for j, (matrix, weights) in enumerate(parameter_products):
@@ -681,6 +704,7 @@ class CompiledTimingProgram:
         parameter_products: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray]]
         ],
+        projection: Optional[np.ndarray],
         r_scales: Optional[np.ndarray],
         c_scales: Optional[np.ndarray],
         input_slew_ps: float,
@@ -695,7 +719,7 @@ class CompiledTimingProgram:
             block,
             max((lv.pin_cols.size for lv in self.levels), default=1),
             max((lv.gate_ids.size for lv in self.levels), default=1),
-            statistical=bool(parameter_products),
+            statistical=bool(parameter_products) or projection is not None,
             wire=r_scales is not None or c_scales is not None,
         )
         pi_idx = self._pi_cols if keep_all else self._pi_slots
@@ -720,7 +744,12 @@ class CompiledTimingProgram:
             return arr.T
 
         return self._drive(
-            num_samples, block, parameter_products, keep_all, evaluate
+            num_samples,
+            block,
+            parameter_products,
+            projection,
+            keep_all,
+            evaluate,
         )
 
     def _execute_native(
@@ -730,14 +759,15 @@ class CompiledTimingProgram:
         parameter_products: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray]]
         ],
+        projection: Optional[np.ndarray],
         input_slew_ps: float,
         keep_all: bool,
         threads: int,
     ) -> CompiledRunOutput:
         """Evaluate sample blocks with ``sta_kernel.c``.
 
-        Everything between the ``u`` projection and the end gather lives
-        in the kernel's fused per-gate loop.  The arenas are flat
+        Everything between the block's rows of ``u`` and the end gather
+        lives in the kernel's fused per-gate loop.  The arenas are flat
         ``(width × B)`` buffers in slot-major order, so partial trailing
         blocks simply use a shorter sample stride.
 
@@ -801,7 +831,12 @@ class CompiledTimingProgram:
             return arena_a[: width * rows].reshape(width, rows)
 
         return self._drive(
-            num_samples, block, parameter_products, keep_all, evaluate
+            num_samples,
+            block,
+            parameter_products,
+            projection,
+            keep_all,
+            evaluate,
         )
 
     def _init_dffs(

@@ -216,8 +216,10 @@ class SampleStream:
         self.num_samples = num_samples
         self.produced = 0
         self.sample_seconds = 0.0
-        #: The last drawn chunk: parameter samples and wire R/C scales.
-        self.parameters: Dict[str, np.ndarray] = {}
+        #: The last drawn chunk: parameter samples (factored
+        #: :class:`~repro.field.sampling.FieldSamples` on the KLE flow,
+        #: passed through unread) and wire R/C scales.
+        self.parameters: Mapping[str, np.ndarray] = {}
         self.wire_scales: Optional[Dict[str, np.ndarray]] = None
         self.sta: Union[None, STAResult, StreamingSTAResult] = None
         self._chunk_size: Optional[int] = None
@@ -247,7 +249,7 @@ class SampleStream:
             harness.gate_locations, rows, seed=self._seed
         )
         self.sample_seconds += generated.total_seconds
-        self.parameters = dict(generated.samples)
+        self.parameters = generated.samples
         self.wire_scales = None
         if self._wire_generator is not None:
             wire_seed = self._wire_seed

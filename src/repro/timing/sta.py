@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
+from repro.field.sampling import FieldSamples
 from repro.place.placer import Placement
 from repro.timing.compiled import CompiledTimingProgram
 from repro.timing.library import (
@@ -101,6 +102,29 @@ class STAResult:
             net: float(np.mean(values))
             for net, values in self.end_arrivals.items()
         }
+
+
+@dataclass(frozen=True)
+class _SampleInput:
+    """The validated statistical input of one run.
+
+    ``products`` pairs each ``(N, N_g)`` parameter matrix with its
+    per-gate weight column (plain mappings, projected per block);
+    ``projection`` is factored samples' precomputed ``u = Ξ W``.
+    Neither: a nominal run.
+    """
+
+    num_samples: int
+    products: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
+    projection: Optional[np.ndarray] = None
+
+    def rows(self, start: int, stop: int) -> "_SampleInput":
+        """The sample rows ``[start, stop)``."""
+        return _SampleInput(
+            stop - start,
+            tuple((matrix[start:stop], w) for matrix, w in self.products),
+            None if self.projection is None else self.projection[start:stop],
+        )
 
 
 class STAEngine:
@@ -255,8 +279,13 @@ class STAEngine:
         parameter_samples:
             Mapping from parameter name (a subset of ``("L","W","Vt","tox")``)
             to an ``(N, N_g)`` array of normalized values, columns in
-            ``netlist.gates`` order — exactly the matrices produced by
-            :mod:`repro.field.sampling`.  ``None`` runs a nominal
+            ``netlist.gates`` order — exactly what :mod:`repro.field.sampling`
+            produces.  Algorithm 2's factored
+            :class:`~repro.field.sampling.FieldSamples` are projected
+            straight to ``u = Ξ W`` (one GEMM per generated sample set,
+            ``W`` formed from this engine's per-gate weights), so their
+            per-parameter fields are never built; plain mappings are
+            projected block by block.  ``None`` runs a nominal
             (deterministic, N = 1) analysis.
         wire_scales:
             Optional interconnect-variation extension: mapping with keys
@@ -280,8 +309,9 @@ class STAEngine:
             Stream the sample axis in chunks of at most this many rows:
             intermediate arenas and temporaries are bounded by
             ``chunk_size × level_width`` instead of ``N × level_width``,
-            and per-chunk results are concatenated.  Results are
-            identical to an unchunked run.
+            and per-chunk results are concatenated.  Factored samples are
+            projected once and their ``u`` rows are chunked.  Results
+            are identical to an unchunked run.
         native_threads:
             Per-call override of the native kernel's worker count
             (``None`` → the engine's :attr:`native_threads`, then
@@ -302,76 +332,35 @@ class STAEngine:
                 raise ValueError(
                     f"chunk_size must be >= 1, got {chunk_size}"
                 )
-            names, matrices, total = self._validated_samples(
-                parameter_samples
-            )
-            validated_scales, total = self._validate_wire_scales(
-                wire_scales, total
-            )
-            if total > chunk_size:
-                return self._run_chunked(
-                    names,
-                    matrices,
-                    validated_scales,
-                    total,
-                    chunk_size,
-                    input_slew_ps=input_slew_ps,
-                    keep_all_arrivals=keep_all_arrivals,
-                    engine=engine,
-                    native_threads=native_threads,
-                )
-        if engine == "compiled":
-            return self._run_compiled(
-                parameter_samples,
-                wire_scales,
-                input_slew_ps=input_slew_ps,
+        samples = self._sample_input(parameter_samples)
+        wire, num_samples = self._validate_wire_scales(
+            wire_scales, samples.num_samples
+        )
+        if input_slew_ps is None:
+            input_slew_ps = self.library.technology.default_input_slew_ps
+        if chunk_size is None or num_samples <= chunk_size:
+            return self._run_pass(
+                engine,
+                samples,
+                wire,
+                num_samples,
+                input_slew_ps=float(input_slew_ps),
                 keep_all_arrivals=keep_all_arrivals,
                 native_threads=native_threads,
             )
-        return self._run_reference(
-            parameter_samples,
-            wire_scales,
-            input_slew_ps=input_slew_ps,
-            keep_all_arrivals=keep_all_arrivals,
-        )
-
-    def _run_chunked(
-        self,
-        names: List[str],
-        matrices: List[np.ndarray],
-        wire_scales: Optional[Dict[str, np.ndarray]],
-        num_samples: int,
-        chunk_size: int,
-        *,
-        input_slew_ps: Optional[float],
-        keep_all_arrivals: bool,
-        engine: str,
-        native_threads: Optional[int],
-    ) -> STAResult:
-        """Split the sample axis into bounded chunks and merge the results."""
         worst_parts: List[np.ndarray] = []
         end_parts: Dict[str, List[np.ndarray]] = {}
         for start in range(0, num_samples, chunk_size):
             stop = min(start + chunk_size, num_samples)
-            chunk_samples = (
-                {
-                    name: matrix[start:stop]
-                    for name, matrix in zip(names, matrices)
-                }
-                if names
-                else None
-            )
-            chunk_scales = (
-                {key: value[start:stop] for key, value in wire_scales.items()}
-                if wire_scales
-                else None
-            )
-            part = self.run(
-                chunk_samples,
-                wire_scales=chunk_scales,
-                input_slew_ps=input_slew_ps,
+            part = self._run_pass(
+                engine,
+                samples.rows(start, stop),
+                {key: value[start:stop] for key, value in wire.items()}
+                if wire
+                else None,
+                stop - start,
+                input_slew_ps=float(input_slew_ps),
                 keep_all_arrivals=keep_all_arrivals,
-                engine=engine,
                 native_threads=native_threads,
             )
             worst_parts.append(part.worst_delay)
@@ -385,34 +374,53 @@ class STAEngine:
             num_samples=num_samples,
         )
 
+    def _run_pass(
+        self,
+        engine: str,
+        samples: _SampleInput,
+        wire_scales: Optional[Dict[str, np.ndarray]],
+        num_samples: int,
+        *,
+        input_slew_ps: float,
+        keep_all_arrivals: bool,
+        native_threads: Optional[int],
+    ) -> STAResult:
+        """One unchunked pass of the selected engine."""
+        if engine == "compiled":
+            return self._run_compiled(
+                samples,
+                wire_scales,
+                num_samples,
+                input_slew_ps=input_slew_ps,
+                keep_all_arrivals=keep_all_arrivals,
+                native_threads=native_threads,
+            )
+        return self._run_reference(
+            samples,
+            wire_scales,
+            num_samples,
+            input_slew_ps=input_slew_ps,
+            keep_all_arrivals=keep_all_arrivals,
+        )
+
     def _run_compiled(
         self,
-        parameter_samples: Optional[Mapping[str, np.ndarray]],
-        wire_scales: Optional[Mapping[str, np.ndarray]],
+        samples: _SampleInput,
+        wire_scales: Optional[Dict[str, np.ndarray]],
+        num_samples: int,
         *,
-        input_slew_ps: Optional[float],
+        input_slew_ps: float,
         keep_all_arrivals: bool,
         native_threads: Optional[int],
     ) -> STAResult:
         """One pass of the level-compiled array program."""
-        names, matrices, num_samples = self._validated_samples(
-            parameter_samples
-        )
-        wire_scales, num_samples = self._validate_wire_scales(
-            wire_scales, num_samples
-        )
-        if input_slew_ps is None:
-            input_slew_ps = self.library.technology.default_input_slew_ps
-        products = [
-            (matrix, self._packed_models.parameter_weights(name))
-            for name, matrix in zip(names, matrices)
-        ]
         output = self.program.execute(
             num_samples,
-            parameter_products=products or None,
+            parameter_products=samples.products or None,
+            projection=samples.projection,
             r_scales=wire_scales.get("R") if wire_scales else None,
             c_scales=wire_scales.get("C") if wire_scales else None,
-            input_slew_ps=float(input_slew_ps),
+            input_slew_ps=input_slew_ps,
             keep_all_arrivals=keep_all_arrivals,
             native_threads=native_threads,
         )
@@ -424,20 +432,15 @@ class STAEngine:
 
     def _run_reference(
         self,
-        parameter_samples: Optional[Mapping[str, np.ndarray]],
-        wire_scales: Optional[Mapping[str, np.ndarray]],
+        samples: _SampleInput,
+        wire_scales: Optional[Dict[str, np.ndarray]],
+        num_samples: int,
         *,
-        input_slew_ps: Optional[float],
+        input_slew_ps: float,
         keep_all_arrivals: bool,
     ) -> STAResult:
         """The original per-gate Python traversal (differential baseline)."""
-        num_samples, u_by_gate = self._statistical_projection(parameter_samples)
-        wire_scales, num_samples = self._validate_wire_scales(
-            wire_scales, num_samples
-        )
-        if input_slew_ps is None:
-            input_slew_ps = self.library.technology.default_input_slew_ps
-
+        _, u_by_gate = self._statistical_projection(samples)
         net_col = (
             {net: i for i, net in enumerate(self.net_order())}
             if wire_scales
@@ -534,16 +537,32 @@ class STAEngine:
             num_samples=num_samples,
         )
 
-    def _validated_samples(
+    def _sample_input(
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]],
-    ) -> Tuple[List[str], List[np.ndarray], int]:
-        """Validate parameter samples; return ``(names, matrices, N)``."""
-        num_gates = self.netlist.num_gates
+    ) -> _SampleInput:
+        """Validate parameter samples into a :class:`_SampleInput`.
+
+        Factored samples are projected here, once: ``u = Ξ W``.
+        """
         if not parameter_samples:
-            return [], [], 1
-        names: List[str] = []
-        matrices: List[np.ndarray] = []
+            return _SampleInput(1)
+        num_gates = self.netlist.num_gates
+        if isinstance(parameter_samples, FieldSamples):
+            if parameter_samples.basis.num_gates != num_gates:
+                raise ValueError(
+                    f"samples must cover {num_gates} gates, got "
+                    f"{parameter_samples.basis.num_gates}"
+                )
+            weights = {
+                name: self._packed_models.parameter_weights(name)
+                for name in parameter_samples
+            }
+            return _SampleInput(
+                parameter_samples.num_samples,
+                projection=parameter_samples.projection(weights),
+            )
+        products: List[Tuple[np.ndarray, np.ndarray]] = []
         for name, matrix in parameter_samples.items():
             if name not in STATISTICAL_PARAMETERS:
                 raise ValueError(
@@ -556,62 +575,54 @@ class STAEngine:
                     f"samples for {name!r} must be (N, {num_gates}), "
                     f"got {matrix.shape}"
                 )
-            names.append(name)
-            matrices.append(matrix)
-        lengths = {m.shape[0] for m in matrices}
+            products.append(
+                (matrix, self._packed_models.parameter_weights(name))
+            )
+        lengths = {matrix.shape[0] for matrix, _ in products}
         if len(lengths) != 1:
             raise ValueError("all parameter sample matrices must share N")
-        return names, matrices, lengths.pop()
-
-    def _u_matrix(
-        self, names: List[str], matrices: List[np.ndarray]
-    ) -> np.ndarray:
-        """``(N, N_g)`` projection ``u = Σ_j w_j · p_j`` for all gates."""
-        num_samples = matrices[0].shape[0]
-        u_matrix = np.zeros((num_samples, self.netlist.num_gates))
-        for name, matrix in zip(names, matrices):
-            weights = self._packed_models.parameter_weights(name)
-            u_matrix += matrix * weights[None, :]
-        return u_matrix
+        return _SampleInput(lengths.pop(), products=tuple(products))
 
     def _statistical_projection(
         self,
-        parameter_samples: Optional[Mapping[str, np.ndarray]],
+        samples: Union[_SampleInput, Mapping[str, np.ndarray], None],
     ) -> Tuple[int, Callable[[int], np.ndarray]]:
         """Return ``(N, u_by_gate)`` where ``u_by_gate(g)`` is the rank-one
         projection ``u = wᵀ p`` for gate ``g`` over all samples."""
-        names, matrices, num_samples = self._validated_samples(
-            parameter_samples
-        )
-        if not names:
+        if not isinstance(samples, _SampleInput):
+            samples = self._sample_input(samples)
+        num_samples = samples.num_samples
+        projection = samples.projection
+        if projection is None and not samples.products:
             return 1, lambda gate_index: np.zeros(1)
         num_gates = self.netlist.num_gates
 
         # Fast path: precompute U = Σ_j w_j(gate) · p_j as one (N, Ng)
         # array so the hot loop only gathers columns.  Falls back to lazy
         # per-gate evaluation when the array would be too large.
-        if num_samples * num_gates * 8 <= 512 * 1024 * 1024:
-            u_matrix = self._u_matrix(names, matrices)
+        if projection is None and num_samples * num_gates * 8 <= (
+            512 * 1024 * 1024
+        ):
+            projection = np.zeros((num_samples, num_gates))
+            for matrix, weights in samples.products:
+                projection += matrix * weights[None, :]
+        if projection is not None:
+            u_matrix = projection
 
             def u_by_gate(gate_index: int) -> np.ndarray:
                 return u_matrix[:, gate_index]
 
             return num_samples, u_by_gate
 
-        param_pos = {
-            name: STATISTICAL_PARAMETERS.index(name) for name in names
-        }
-        models = self._models
-        gates = self.netlist.gates
+        products = samples.products
 
-        def u_by_gate(gate_index: int) -> np.ndarray:
-            direction = models[gates[gate_index].name].direction
+        def lazy_u_by_gate(gate_index: int) -> np.ndarray:
             u = np.zeros(num_samples)
-            for name, matrix in zip(names, matrices):
-                u += direction[param_pos[name]] * matrix[:, gate_index]
+            for matrix, weights in products:
+                u += weights[gate_index] * matrix[:, gate_index]
             return u
 
-        return num_samples, u_by_gate
+        return num_samples, lazy_u_by_gate
 
     def _validate_wire_scales(
         self,

@@ -1,5 +1,7 @@
 """Coupled-sampler tests: covariance preservation and prefix coupling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,12 @@ def test_coarse_is_prefix_of_fine_xi(coupled):
     """The coarse field must be a deterministic function of the fine ξ
     prefix — regenerate it by hand from the returned normals."""
     draw = coupled.generate(50, seed=9)
-    cmaps = coupled._coarse_maps
-    for name, xi in draw.xi.items():
-        cmap = cmaps[name]
-        expected = (xi[:, : cmap.rank] @ cmap.d_lambda.T)[:, cmap.triangles]
-        np.testing.assert_array_equal(draw.coarse_fields[name], expected)
+    for coarse in coupled.coarse_basis.parameters:
+        xi = draw.xi[coarse.name]
+        expected = (xi[:, : coarse.rank] @ coarse.d_lambda.T)[
+            :, coarse.triangles
+        ]
+        np.testing.assert_array_equal(draw.coarse_fields[coarse.name], expected)
 
 
 def test_same_seed_reproduces_draw(coupled):
@@ -73,14 +76,25 @@ def test_same_seed_reproduces_draw(coupled):
         )
 
 
-def test_field_gathers_can_be_skipped(coupled):
-    draw = coupled.generate(10, seed=1, need_fine_fields=False)
-    assert draw.fine_fields is None
-    assert draw.coarse_fields is not None
-    xi = draw.xi_concat()
-    assert xi.shape == (10, 4 * 14)
-    prefix = draw.xi_concat(ranks={"L": 6, "W": 6, "Vt": 6, "tox": 6})
-    assert prefix.shape == (10, 4 * 6)
+def test_field_gathers_can_be_skipped(coupled, gate_points):
+    """A draw holds only ξ until a field is read: generating it gathers
+    no (N, N_g) field and builds no (N, nt) triangle matrix."""
+    num_samples = 4000
+    tracemalloc.start()
+    try:
+        draw = coupled.generate(num_samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    xi = draw.fine_fields.xi
+    assert xi.shape == (num_samples, 4 * 14)
+    assert draw.coarse_fields.xi.shape == (num_samples, 4 * 6)
+    np.testing.assert_array_equal(draw.coarse_fields.xi[:, :6], xi[:, :6])
+    # The per-parameter draws, their concatenation and the coarse prefix.
+    assert peak < 3 * xi.nbytes
+    field = draw.fine_fields["L"]
+    assert field.shape == (num_samples, len(gate_points))
+    assert field.flags.c_contiguous
 
 
 def test_validation_errors(gaussian_kle, gate_points):

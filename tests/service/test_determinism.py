@@ -262,7 +262,7 @@ class TestChunkBoundaries:
             generated = c880_harness.kle_generator.generate(
                 c880_harness.gate_locations, rows, seed=rng
             )
-            sta = c880_harness.engine.run(dict(generated.samples))
+            sta = c880_harness.engine.run(generated.samples)
             expected.append(sta.worst_delay)
             produced += rows
         assert len(streamed) == len(expected)

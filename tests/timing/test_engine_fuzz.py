@@ -14,6 +14,12 @@ reach).  The case then runs, with ``keep_all_arrivals`` off and on:
 Compiled results must match the reference to ``rtol=1e-12``; native runs
 must be bitwise equal across thread counts and chunkings.  The master
 seed is fixed, so a failure names a reproducible case.
+
+A second leg feeds factored Algorithm 2 samples
+(:class:`~repro.field.sampling.FieldSamples`) built on a random ξ → gate
+basis — per-parameter ``D_λ`` of rank 1 to 30 over random triangle maps,
+with and without a parameter cross-correlation — and checks every engine
+on them against the same samples materialized into a plain dict.
 """
 
 import numpy as np
@@ -21,6 +27,7 @@ import pytest
 
 import repro.timing.compiled as compiled
 from repro.circuit.generate import generate_circuit
+from repro.field.sampling import FieldSamples, GateBasis, ParameterBasis
 from repro.place.placer import place_netlist
 from repro.timing import native
 from repro.timing.library import STATISTICAL_PARAMETERS
@@ -135,6 +142,161 @@ def test_engines_agree_on_random_netlists(case, monkeypatch):
         )
         assert program.last_run_native is True
         _assert_close(one, reference)
+        for threads, chunk_size in ((2, None), (1, 7), (2, BLOCK + 1)):
+            run = engine.run(
+                samples,
+                engine="compiled",
+                keep_all_arrivals=keep_all,
+                native_threads=threads,
+                chunk_size=chunk_size,
+            )
+            _assert_bitwise(run, one)
+
+
+# ----------------------------------------------------------------------
+# Factored samples: ξ plus a random basis, against their materialized dict.
+# ----------------------------------------------------------------------
+FACTORED_SEED = 20080311
+NUM_FACTORED_CASES = 12
+
+
+def _draw_factored_cases():
+    rng = np.random.default_rng(FACTORED_SEED)
+    counts = (1, BLOCK - 1, BLOCK, BLOCK + 1)
+    cases = []
+    for index in range(NUM_FACTORED_CASES):
+        num_gates = int(rng.integers(2, 301))
+        num_dffs = (
+            int(rng.integers(num_gates // 4, num_gates // 2 + 1))
+            if index % 3 == 1 and num_gates >= 4
+            else 0
+        )
+        cases.append(
+            {
+                "num_gates": num_gates,
+                "num_dffs": num_dffs,
+                "num_inputs": int(rng.integers(1, 12)),
+                "num_outputs": int(rng.integers(1, 8)),
+                "num_samples": counts[index % len(counts)],
+                "cross": index % 2 == 1,
+                "seed": int(rng.integers(2**31)),
+            }
+        )
+    return cases
+
+
+FACTORED_CASES = _draw_factored_cases()
+
+
+def _random_basis(rng, num_gates, cross):
+    """Random per-parameter ``D_λ`` (rank 1–30) over random triangle maps.
+
+    A cross-correlated basis shares one map across the parameters (the
+    separable C ⊗ K model) and mixes them by a random correlation's
+    Cholesky factor.
+    """
+
+    def one_map():
+        rank = int(rng.integers(1, 31))
+        num_triangles = int(rng.integers(1, 61))
+        d_lambda = rng.standard_normal((num_triangles, rank)) * (
+            0.1 / np.sqrt(rank)
+        )
+        triangles = rng.integers(0, num_triangles, size=num_gates)
+        return rank, d_lambda, triangles
+
+    shared = one_map() if cross else None
+    parameters = []
+    offset = 0
+    for name in STATISTICAL_PARAMETERS:
+        rank, d_lambda, triangles = shared or one_map()
+        parameters.append(
+            ParameterBasis(
+                name, offset, rank, d_lambda, triangles, d_lambda[triangles]
+            )
+        )
+        offset += rank
+    mix = None
+    if cross:
+        factor = rng.standard_normal((4, 4))
+        covariance = factor @ factor.T + 0.1 * np.eye(4)
+        scale = 1.0 / np.sqrt(np.diag(covariance))
+        mix = np.linalg.cholesky(covariance * np.outer(scale, scale))
+    return GateBasis(parameters, mix)
+
+
+def test_factored_cases_cover_the_declared_space():
+    assert {case["num_samples"] for case in FACTORED_CASES} == {
+        1, BLOCK - 1, BLOCK, BLOCK + 1
+    }
+    assert {case["cross"] for case in FACTORED_CASES} == {False, True}
+    assert any(case["num_dffs"] for case in FACTORED_CASES)
+
+
+@pytest.mark.parametrize(
+    "case",
+    FACTORED_CASES,
+    ids=[f"case{i}" for i in range(len(FACTORED_CASES))],
+)
+def test_factored_samples_agree_with_their_fields(case, monkeypatch):
+    monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+    netlist = generate_circuit(
+        "fuzz",
+        case["num_gates"],
+        case["num_inputs"],
+        case["num_outputs"],
+        num_dffs=case["num_dffs"],
+        seed=case["seed"],
+    )
+    engine = STAEngine(netlist, place_netlist(netlist, DIE, seed=7))
+    program = engine.program
+    rng = np.random.default_rng(case["seed"])
+    basis = _random_basis(rng, netlist.num_gates, case["cross"])
+    num_samples = case["num_samples"]
+    samples = FieldSamples(
+        basis, [rng.standard_normal((num_samples, basis.dimension))]
+    )
+    fields = dict(samples)
+    for field in fields.values():
+        assert field.shape == (num_samples, netlist.num_gates)
+        assert field.flags.c_contiguous
+    has_kernel = native.load_kernel() is not None
+    for keep_all in (False, True):
+        oracle = engine.run(
+            fields, engine="reference", keep_all_arrivals=keep_all
+        )
+        _assert_close(
+            engine.run(
+                samples, engine="reference", keep_all_arrivals=keep_all
+            ),
+            oracle,
+        )
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NO_NATIVE", "1")
+            numpy_run = engine.run(
+                samples, engine="compiled", keep_all_arrivals=keep_all
+            )
+            assert program.last_run_native is False
+            _assert_close(numpy_run, oracle)
+            _assert_bitwise(
+                engine.run(
+                    samples,
+                    engine="compiled",
+                    keep_all_arrivals=keep_all,
+                    chunk_size=7,
+                ),
+                numpy_run,
+            )
+        if not has_kernel:
+            continue
+        one = engine.run(
+            samples,
+            engine="compiled",
+            keep_all_arrivals=keep_all,
+            native_threads=1,
+        )
+        assert program.last_run_native is True
+        _assert_close(one, oracle)
         for threads, chunk_size in ((2, None), (1, 7), (2, BLOCK + 1)):
             run = engine.run(
                 samples,

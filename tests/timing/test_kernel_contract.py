@@ -321,16 +321,45 @@ def test_non_contiguous_projection_is_caught(placed, fake, monkeypatch):
     program = engine.program
     drive = program._drive
 
-    def fortran_u_drive(num_samples, block, products, keep_all, evaluate):
+    def fortran_u_drive(
+        num_samples, block, products, projection, keep_all, evaluate
+    ):
         def evaluate_fortran(start, stop, u):
             return evaluate(start, stop, np.asfortranarray(u))
 
         return drive(
-            num_samples, block, products, keep_all, evaluate_fortran
+            num_samples,
+            block,
+            products,
+            projection,
+            keep_all,
+            evaluate_fortran,
         )
 
     monkeypatch.setattr(program, "_drive", fortran_u_drive)
     _expect_violation(fake, engine, "u")
+
+
+def test_fortran_ordered_precomputed_projection_is_caught(placed, fake):
+    """A precomputed ``u`` is read in row blocks in place, so it must be
+    C-ordered: a Fortran-ordered one fails the contract before any call."""
+    engine = STAEngine(*placed)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((NUM_SAMPLES, engine.netlist.num_gates)) * 0.1
+    with pytest.raises(native.KernelArgumentError) as info:
+        engine.program.execute(
+            NUM_SAMPLES,
+            projection=np.asfortranarray(u),
+            input_slew_ps=10.0,
+            native_threads=1,
+        )
+    assert info.value.argument == "u"
+    assert repr("u") in str(info.value)
+    assert fake.calls == [], "kernel entered despite a contract violation"
+    engine.program.execute(
+        NUM_SAMPLES, projection=u, input_slew_ps=10.0, native_threads=1
+    )
+    assert fake.calls
 
 
 # ----------------------------------------------------------------------
