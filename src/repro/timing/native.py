@@ -1,21 +1,18 @@
-"""Build and load the optional native STA block kernel.
+"""Build and load the native STA block kernel.
 
-:mod:`repro.timing.compiled` evaluates sample blocks with numpy array
-operations.  When a C compiler is available, the same flattened program
-can instead be driven through ``sta_kernel.c`` — a single fused pass per
-gate that runs several times faster than the array formulation (no
-intermediate arrays, no per-op dispatch).  This module compiles that
+:mod:`repro.timing.compiled` flattens a placed netlist into tables that
+``sta_kernel.c`` evaluates sample block by sample block — a single fused
+pass per gate, wire R/C variation included.  This module compiles that
 kernel on first use with the system ``cc`` into the artifact cache
 directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) and loads it
 with :mod:`ctypes`; nothing is installed and no third-party build
 tooling is used.
 
-The kernel is strictly optional: if there is no compiler, the build
-fails, or ``REPRO_NO_NATIVE=1`` is set, :func:`load_kernel` returns
-``None`` and the engine silently stays on the numpy path.  Results are
-within floating-point reassociation error (``rtol=1e-12``) of both the
-numpy path and the reference engine, and are bitwise reproducible across
-chunk/block partitionings.
+If there is no compiler, the build fails, or ``REPRO_NO_NATIVE=1`` is
+set, :func:`load_kernel` returns ``None`` and ``engine="compiled"``
+runs the per-gate reference loop instead.  Kernel results are within
+floating-point reassociation error (``rtol=1e-12``) of the reference
+loop, and are bitwise reproducible across chunk/block partitionings.
 
 Threading: the kernel's one entry point, ``sta_eval_gates_mt``,
 partitions the sample lanes of each block across a worker team; one
@@ -34,8 +31,8 @@ are bitwise independent of the thread count.
 Argument contract: :data:`KERNEL_ARGS` declares every C parameter once
 — name, ctypes type and, for pointers, the minimum extent as a function
 of the other arguments.  :class:`BoundKernel` checks dtype, contiguity,
-extent, writeability and model-id bounds against it before the kernel
-is entered and
+extent, writeability and the bounds of the model-id and net-column
+tables against it before the kernel is entered and
 raises :class:`KernelArgumentError` naming the argument; the ctypes
 ``argtypes`` are derived from the same table.
 
@@ -73,7 +70,14 @@ from typing import (
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("sta_kernel.c")
-_CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
+#: ``-fno-math-errno`` lets the nominal pin loops vectorize, which
+#: halves the no-wire kernel's time: while ``sqrt`` must set ``errno`` on
+#: a negative argument, GCC leaves any loop that calls it scalar.
+#: ``sqrt`` is correctly rounded either way and the kernel never takes
+#: the root of a negative number, so results are bitwise unchanged.  GCC
+#: and Clang both accept the flag; GCC 12 ignores it in ``#pragma GCC
+#: optimize``, so it cannot live in the source.
+_CFLAGS = ["-O3", "-march=native", "-fno-math-errno", "-shared", "-fPIC"]
 
 #: Accepted ``REPRO_SANITIZE`` tokens → ``-fsanitize=`` group names.
 _SANITIZE_FLAG_MAP = {
@@ -441,9 +445,14 @@ def _u_extent(sizes: _Sizes) -> int:
     return sizes.count("num_rows") * sizes.count("num_model_gates")
 
 
+def _scale_extent(sizes: _Sizes) -> int:
+    """One ``num_nets``-wide wire-scale row per sample."""
+    return sizes.count("num_rows") * sizes.count("num_nets")
+
+
 def _scratch_extent(sizes: _Sizes) -> int:
-    """One private ``4 · num_rows`` block per worker."""
-    return 4 * sizes.count("num_rows") * max(sizes.count("num_threads"), 1)
+    """One private ``6 · num_rows`` block per worker."""
+    return 6 * sizes.count("num_rows") * max(sizes.count("num_threads"), 1)
 
 
 _I64 = ctypes.c_int64
@@ -464,6 +473,8 @@ _GATES = _count("num_gates")
 _DFFS = _count("num_dff")
 #: ``u`` rows have ``num_model_gates`` columns; model ids index them.
 _MODEL_GATES = _count("num_model_gates")
+#: Wire-scale rows have ``num_nets`` columns; net columns index them.
+_NETS = _count("num_nets")
 
 #: The kernel's argument contract, one row per C parameter in C order.
 #: :func:`kernel_argtypes` is derived from it;
@@ -474,13 +485,19 @@ KERNEL_ARGS: Tuple[KernelArg, ...] = (
     KernelArg("num_rows", _I64),
     KernelArg("num_model_gates", _I64),
     KernelArg("u", _P_F64, _u_extent, nullable=True),
+    KernelArg("num_nets", _I64),
+    KernelArg("r_scale", _P_F64, _scale_extent, nullable=True),
+    KernelArg("c_scale", _P_F64, _scale_extent, nullable=True),
     KernelArg("input_slew", _F64),
     KernelArg("pi_slots", _P_I64, _count("num_pi")),
     KernelArg("num_pi", _I64),
     KernelArg("dff_slots", _P_I64, _DFFS),
     KernelArg("dff_gids", _P_I64, _DFFS, limit=_MODEL_GATES),
-    KernelArg("dff_dnom", _P_F64, _DFFS),
-    KernelArg("dff_snom", _P_F64, _DFFS),
+    KernelArg("dff_col", _P_I64, _DFFS, limit=_NETS),
+    KernelArg("dff_bd", _P_F64, _DFFS),
+    KernelArg("dff_bs", _P_F64, _DFFS),
+    KernelArg("dff_dmetal", _P_F64, _DFFS),
+    KernelArg("dff_smetal", _P_F64, _DFFS),
     KernelArg("dff_k1", _P_F64, _DFFS),
     KernelArg("dff_k2", _P_F64, _DFFS),
     KernelArg("dff_m1", _P_F64, _DFFS),
@@ -490,17 +507,23 @@ KERNEL_ARGS: Tuple[KernelArg, ...] = (
     KernelArg("g_fanin", _P_I64, _GATES),
     KernelArg("g_out_slot", _P_I64, _GATES),
     KernelArg("g_id", _P_I64, _GATES, limit=_MODEL_GATES),
+    KernelArg("g_col", _P_I64, _GATES, limit=_NETS),
     KernelArg("g_bd", _P_F64, _GATES),
     KernelArg("g_dsl", _P_F64, _GATES),
     KernelArg("g_bs", _P_F64, _GATES),
     KernelArg("g_ssl", _P_F64, _GATES),
+    KernelArg("g_dmetal", _P_F64, _GATES),
+    KernelArg("g_smetal", _P_F64, _GATES),
     KernelArg("g_k1", _P_F64, _GATES),
     KernelArg("g_k2", _P_F64, _GATES),
     KernelArg("g_m1", _P_F64, _GATES),
     KernelArg("g_m2", _P_F64, _GATES),
     KernelArg("p_slot", _P_I64, _num_pins),
+    KernelArg("p_col", _P_I64, _num_pins, limit=_NETS),
     KernelArg("p_wd", _P_F64, _num_pins),
     KernelArg("p_step2", _P_F64, _num_pins),
+    KernelArg("p_rc", _P_F64, _num_pins),
+    KernelArg("p_rpin", _P_F64, _num_pins),
     KernelArg("arena_a", _P_F64, _arena_extent, writeable=True),
     KernelArg("arena_s", _P_F64, _arena_extent, writeable=True),
     KernelArg("scratch", _P_F64, _scratch_extent, writeable=True),
@@ -509,7 +532,11 @@ KERNEL_ARGS: Tuple[KernelArg, ...] = (
 
 _ARG_INDEX = {arg.name: index for index, arg in enumerate(KERNEL_ARGS)}
 _ROWS = _ARG_INDEX["num_rows"]
-_U = _ARG_INDEX["u"]
+#: The per-block pointer rows, in C order: re-checked on every call.
+_PER_BLOCK = tuple(
+    (_ARG_INDEX[name], KERNEL_ARGS[_ARG_INDEX[name]])
+    for name in ("u", "r_scale", "c_scale")
+)
 
 
 def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
@@ -527,7 +554,8 @@ def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
         raise KernelArgumentError(
             arg.name, f"dtype {value.dtype} is not {dtype}"
         )
-    if not value.flags.c_contiguous:
+    flags = value.flags
+    if not flags.c_contiguous:
         raise KernelArgumentError(arg.name, "array is not C-contiguous")
     extent = arg.extent(sizes) if arg.extent is not None else 0
     if value.size < extent:
@@ -541,14 +569,14 @@ def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
             raise KernelArgumentError(
                 arg.name, f"index {top} is not below {limit}"
             )
-    if arg.writeable and not value.flags.writeable:
+    if arg.writeable and not flags.writeable:
         raise KernelArgumentError(arg.name, "output array is read-only")
     if not extent:
         # Nothing is read or written through it; any valid address does.
         return _UNUSED[arg.ctype]
-    if value.flags.writeable:
+    if flags.writeable:
         # A reference into the buffer (which it keeps alive): a quarter
-        # of the cost of ``data_as``, and a bind converts 27 pointers.
+        # of the cost of ``data_as``, and a bind converts 38 pointers.
         return ctypes.byref(_ELEMENT[arg.ctype].from_buffer(value))
     return value.ctypes.data_as(arg.ctype)
 
@@ -581,20 +609,34 @@ class BoundKernel:
     Construction checks every argument once, with ``num_rows`` as the
     largest block the caller will run; each call then re-checks only
     what changes per block — ``num_rows`` (at most the bound value, so
-    every extent that scales with it still holds) and ``u`` — before
-    invoking ``kernel``.  Pass every C parameter but ``u`` by name.
-    ``kernel`` may be any callable taking the C argument list, which is
-    how tests observe calls without a compiler.
+    every extent that scales with it still holds), ``u`` and the wire
+    scale rows ``r_scale``/``c_scale`` — before invoking ``kernel``.
+    Pass every C parameter but those three by name.  ``kernel`` may be
+    any callable taking the C argument list, which is how tests observe
+    calls without a compiler.
     """
 
     def __init__(self, kernel: Callable[..., None], **args: Any):
         self._kernel = kernel
         self._max_rows = int(args["num_rows"])
-        self._args = _checked_args({**args, "u": None})
+        self._args = _checked_args(
+            {**args, "u": None, "r_scale": None, "c_scale": None}
+        )
         self._num_model_gates = int(args["num_model_gates"])
+        self._num_nets = int(args["num_nets"])
 
-    def __call__(self, num_rows: int, u: Optional[np.ndarray]) -> None:
-        """Run one block of ``num_rows`` samples with projection ``u``."""
+    def __call__(
+        self,
+        num_rows: int,
+        u: Optional[np.ndarray],
+        r_scale: Optional[np.ndarray] = None,
+        c_scale: Optional[np.ndarray] = None,
+    ) -> None:
+        """Run one block of ``num_rows`` samples.
+
+        ``u`` is the block's projection and ``r_scale``/``c_scale`` its
+        wire-scale rows; each may be ``None``.
+        """
         if not 0 <= num_rows <= self._max_rows:
             raise KernelArgumentError(
                 "num_rows",
@@ -603,16 +645,15 @@ class BoundKernel:
             )
         args = list(self._args)
         args[_ROWS] = num_rows
-        args[_U] = _check_array(
-            KERNEL_ARGS[_U],
-            u,
-            _Sizes(
-                {
-                    "num_rows": num_rows,
-                    "num_model_gates": self._num_model_gates,
-                }
-            ),
+        sizes = _Sizes(
+            {
+                "num_rows": num_rows,
+                "num_model_gates": self._num_model_gates,
+                "num_nets": self._num_nets,
+            }
         )
+        for (index, arg), value in zip(_PER_BLOCK, (u, r_scale, c_scale)):
+            args[index] = _check_array(arg, value, sizes)
         self._kernel(*args)
 
 
@@ -674,7 +715,7 @@ def load_kernel() -> Optional[object]:
             os.replace(tmp, lib_path)
         except (OSError, subprocess.SubprocessError, ValueError):
             # No compiler, compile error, timeout, or an unwritable cache
-            # dir — all mean "stay on the numpy path", never a crash.
+            # dir — all mean "run the reference loop", never a crash.
             if tmp is not None:
                 try:
                     os.unlink(tmp)

@@ -14,12 +14,14 @@ scalar STA runs; both Algorithm 1 and Algorithm 2 feed the same engine, so
 their comparison isolates the sample-generation difference exactly as the
 paper intends.
 
-Engines: the default ``engine="compiled"`` additionally batches whole
-topological *levels* into ``(N, W_level)`` array operations through a
-:class:`~repro.timing.compiled.CompiledTimingProgram` built once per
-``STAEngine`` — the per-gate Python loop survives as
-``engine="reference"`` for differential testing.  Both produce identical
-results to floating-point round-off.
+Engines: the default ``engine="compiled"`` flattens the netlist once per
+``STAEngine`` into a :class:`~repro.timing.compiled.CompiledTimingProgram`
+and evaluates it with the native kernel (:mod:`repro.timing.native`),
+wire R/C variation included.  The per-gate Python loop is
+``engine="reference"``: the oracle for differential testing, and what
+``engine="compiled"`` runs when the kernel is unavailable (no C
+compiler, a failed build, ``REPRO_NO_NATIVE=1``).  Both produce
+identical results to floating-point round-off.
 
 Memory: net arrays are released as soon as their last sink gate has
 consumed them, so peak memory scales with the circuit's level width rather
@@ -141,9 +143,10 @@ class STAEngine:
     library:
         Cell library; a default 90nm-class library when omitted.
     engine:
-        ``"compiled"`` (default) evaluates whole topological levels with
-        batched array operations; ``"reference"`` keeps the original
-        per-gate Python loop.  :meth:`run` can override per call.
+        ``"compiled"`` (default) runs the flattened program on the native
+        kernel, or the reference loop when the kernel is unavailable;
+        ``"reference"`` always runs the per-gate Python loop.
+        :meth:`run` can override per call.
     """
 
     def __init__(
@@ -200,7 +203,7 @@ class STAEngine:
 
     @property
     def program(self) -> CompiledTimingProgram:
-        """The level-compiled array program (built on first use, cached).
+        """The compiled program the kernel runs (built on first use, cached).
 
         Thread-safe: concurrent first accesses (the service layer warms
         engines from worker threads) build the program exactly once.
@@ -413,7 +416,8 @@ class STAEngine:
         keep_all_arrivals: bool,
         native_threads: Optional[int],
     ) -> STAResult:
-        """One pass of the level-compiled array program."""
+        """One pass of the compiled program, or of the reference loop
+        when the native kernel is unavailable."""
         output = self.program.execute(
             num_samples,
             parameter_products=samples.products or None,
@@ -424,6 +428,14 @@ class STAEngine:
             keep_all_arrivals=keep_all_arrivals,
             native_threads=native_threads,
         )
+        if output is None:
+            return self._run_reference(
+                samples,
+                wire_scales,
+                num_samples,
+                input_slew_ps=input_slew_ps,
+                keep_all_arrivals=keep_all_arrivals,
+            )
         return STAResult(
             end_arrivals=output.end_arrivals,
             worst_delay=output.worst_delay,
@@ -477,11 +489,17 @@ class STAEngine:
             model = self._models[dff.name]
             load = net_load(dff.output)
             u = u_by_gate(self._gate_index[dff.name])
-            arrival[dff.output] = model.nominal_delay(0.0, load) * (
-                model.statistical_scale(u)
+            # np.full: a launch is one value when neither u nor the load
+            # varies (nominal parameters, R-only wire scales), yet every
+            # net's array holds all N samples.
+            arrival[dff.output] = np.full(
+                num_samples,
+                model.nominal_delay(0.0, load) * model.statistical_scale(u),
             )
-            slew[dff.output] = model.nominal_slew(0.0, load) * (
-                model.statistical_slew_scale(u)
+            slew[dff.output] = np.full(
+                num_samples,
+                model.nominal_slew(0.0, load)
+                * model.statistical_slew_scale(u),
             )
 
         for gate in self.levelized.gates_in_order:
@@ -645,10 +663,10 @@ class STAEngine:
                     f"wire_scales[{key!r}] must be (N, {num_nets}), "
                     f"got {matrix.shape}"
                 )
-            if np.any(matrix <= 0.0):
+            if not np.all(np.isfinite(matrix) & (matrix > 0.0)):
                 raise ValueError(
-                    f"wire_scales[{key!r}] must be strictly positive "
-                    "multiplicative factors (nominal = 1.0)"
+                    f"wire_scales[{key!r}] must be finite, strictly "
+                    "positive multiplicative factors (nominal = 1.0)"
                 )
             validated[key] = matrix
         wire_n = {m.shape[0] for m in validated.values()}

@@ -199,7 +199,6 @@ class PackedWireModels:
 
     total_cap_ff: np.ndarray     # (num_nets,) driver load at nominal
     wire_cap_ff: np.ndarray      # (num_nets,) metal share of the load
-    pin_cap_ff: np.ndarray       # (num_nets,) device-pin share of the load
     sink_offset: np.ndarray      # (num_nets,) start of each net's sink run
     sink_delay_ps: np.ndarray    # (total_sinks,) nominal Elmore delays
     sink_rc_half: np.ndarray     # (total_sinks,) R·C_wire/2 term (R and C scale)
@@ -221,7 +220,6 @@ def pack_wire_models(
     """
     total_cap = np.empty(len(net_order))
     wire_cap = np.empty(len(net_order))
-    pin_cap = np.empty(len(net_order))
     offsets = np.empty(len(net_order), dtype=np.int64)
     delays: List[np.ndarray] = []
     rc_halves: List[np.ndarray] = []
@@ -231,7 +229,6 @@ def pack_wire_models(
         wire = wires[net]
         total_cap[column] = wire.total_cap_ff
         wire_cap[column] = wire.wire_cap_ff
-        pin_cap[column] = wire.pin_cap_ff
         offsets[column] = position
         delays.append(np.asarray(wire.sink_delay_ps, dtype=float))
         rc_halves.append(np.asarray(wire.sink_res_cap_split[:, 0], dtype=float))
@@ -241,7 +238,6 @@ def pack_wire_models(
     return PackedWireModels(
         total_cap_ff=total_cap,
         wire_cap_ff=wire_cap,
-        pin_cap_ff=pin_cap,
         sink_offset=offsets,
         sink_delay_ps=np.concatenate(delays) if delays else empty,
         sink_rc_half=np.concatenate(rc_halves) if rc_halves else empty,

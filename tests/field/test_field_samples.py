@@ -258,11 +258,16 @@ def test_factored_matches_materialized_on_every_engine(
                 run.end_arrivals[net], values, rtol=1e-12
             )
 
-    close(engine.run(samples, engine="reference"))
+    reference = engine.run(samples, engine="reference")
+    close(reference)
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_NO_NATIVE", "1")
-        close(engine.run(samples, engine="compiled"))
+        fallback = engine.run(samples, engine="compiled")
         assert engine.program.last_run_native is False
+    # Without the kernel, engine="compiled" is the reference loop.
+    assert np.array_equal(fallback.worst_delay, reference.worst_delay)
+    for net, values in reference.end_arrivals.items():
+        assert np.array_equal(fallback.end_arrivals[net], values)
     if native.load_kernel() is None:
         pytest.skip("native kernel unavailable")
     one = engine.run(samples, engine="compiled", native_threads=1)

@@ -1,10 +1,11 @@
 """Differential tests: compiled STA engine vs the per-gate reference.
 
-The compiled engine (and its optional native kernel) must reproduce the
-reference engine to floating-point reassociation error — ``rtol=1e-12``
-— across circuits, analysis modes (nominal, statistical, wire R/C,
+The compiled engine (the native kernel) must reproduce the reference
+engine to floating-point reassociation error — ``rtol=1e-12`` — across
+circuits, analysis modes (nominal, statistical, wire R/C,
 ``keep_all_arrivals``, DFF-sourced nets) and sample chunkings, and
 chunked compiled runs must be *bitwise* identical to unchunked ones.
+Without the kernel, ``engine="compiled"`` runs the reference loop.
 """
 
 import os
@@ -124,6 +125,17 @@ def test_chunked_is_bitwise_identical(engines, wire):
     assert np.array_equal(full.worst_delay, chunked.worst_delay)
     for net, values in full.end_arrivals.items():
         assert np.array_equal(values, chunked.end_arrivals[net])
+    if wire:
+        # The kernel reads C-ordered scale rows; other layouts are copied.
+        fortran = engine.run(
+            samples,
+            engine="compiled",
+            wire_scales={
+                key: np.asfortranarray(m)
+                for key, m in kwargs["wire_scales"].items()
+            },
+        )
+        assert np.array_equal(full.worst_delay, fortran.worst_delay)
 
 
 def test_chunked_reference_matches(engines):
@@ -135,27 +147,42 @@ def test_chunked_reference_matches(engines):
     assert np.array_equal(full.worst_delay, chunked.worst_delay)
 
 
-def test_native_matches_numpy_path(engines, monkeypatch):
-    """The C kernel and the numpy array path agree to reassociation error."""
-    if native.load_kernel() is None:
-        pytest.skip("native kernel unavailable")
+@pytest.mark.parametrize("wire", [False, True])
+def test_no_native_runs_the_reference_loop(engines, monkeypatch, wire):
+    """Without the kernel, ``engine="compiled"`` is the reference loop.
+
+    Bitwise, because it is the same code; the native run matches both
+    to reassociation error, wire scales included.
+    """
     engine = engines("s5378")
     samples = _samples(engine.netlist, 32)
-    with_native = engine.run(samples, engine="compiled")
+    kwargs = {}
+    if wire:
+        kwargs["wire_scales"] = _wire_scales(engine, 32, ("R", "C"))
+    reference = engine.run(samples, engine="reference", **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_NATIVE", "1")
+        fallback = engine.run(samples, engine="compiled", **kwargs)
+        assert engine.program.last_run_native is False
+    assert np.array_equal(fallback.worst_delay, reference.worst_delay)
+    assert set(fallback.end_arrivals) == set(reference.end_arrivals)
+    for net, values in reference.end_arrivals.items():
+        assert np.array_equal(fallback.end_arrivals[net], values)
+    if native.load_kernel() is None:
+        pytest.skip("native kernel unavailable")
+    with_native = engine.run(samples, engine="compiled", **kwargs)
     assert engine.program.last_run_native is True
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    without = engine.run(samples, engine="compiled")
-    assert engine.program.last_run_native is False
-    _assert_matches(without, with_native)
+    _assert_matches(with_native, reference)
 
 
 def test_chunk_size_bounds_peak_memory(engines, monkeypatch):
     """Streaming chunks must bound the per-run working set.
 
-    Forces the numpy path (whose buffers tracemalloc sees — the native
-    path's arenas are deliberately small already) and compares the traced
-    allocation peak of a chunked run against the unchunked one on the
-    same inputs.
+    Runs without the kernel, i.e. on the reference loop, whose ``(N,)``
+    per-net arrays and ``(N, N_g)`` projection tracemalloc sees (the
+    kernel's arenas are bounded by its sample block already), and
+    compares the traced allocation peak of a chunked run against the
+    unchunked one on the same inputs.
     """
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     engine = engines("c7552")
@@ -171,6 +198,7 @@ def test_chunk_size_bounds_peak_memory(engines, monkeypatch):
 
     full, full_peak = peak_of()
     chunked, chunked_peak = peak_of(chunk_size=100)
+    assert engine.program.last_run_native is False
     assert np.array_equal(full.worst_delay, chunked.worst_delay)
     assert chunked_peak < full_peak / 2, (
         f"chunked peak {chunked_peak / 1e6:.1f} MB not well below "

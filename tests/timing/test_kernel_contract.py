@@ -2,15 +2,16 @@
 
 Every call into ``sta_eval_gates_mt`` is checked against one declarative
 table: dtype, C-contiguity, minimum extent and writeability of each
-pointer argument.  Each mutation below breaks one row and must raise
+pointer argument, and the bounds of the model-id and net-column tables.
+Each mutation below breaks one row and must raise
 :class:`~repro.timing.native.KernelArgumentError` naming that argument
 *before* the kernel runs — a fake kernel records calls, so no C compiler
 is needed.  The first two mutations are textual edits of a copy of
 ``compiled.py`` (the same allocation bugs a static prover would have to
 find); the rest corrupt a compiled program's tables or the per-block
-projection at run time.  The table itself is checked against the C
-prototype in ``sta_kernel.c``, and seeded edits of that prototype must
-fail the check.
+projection and wire-scale rows at run time.  The table itself is checked
+against the C prototype in ``sta_kernel.c``, and seeded edits of that
+prototype must fail the check.
 """
 
 import ctypes
@@ -35,6 +36,8 @@ from repro.timing.sta import STAEngine
 DIE = (-1.0, -1.0, 1.0, 1.0)
 NUM_SAMPLES = 70
 _MUTANT_IDS = itertools.count()
+#: The pointer rows :class:`~repro.timing.native.BoundKernel` takes per call.
+_PER_BLOCK = ("u", "r_scale", "c_scale")
 
 
 class FakeKernel:
@@ -132,6 +135,17 @@ _PROTOTYPE_MUTATIONS = {
     "double-for-pointer": ("double *scratch", "double scratch", "types"),
     "renamed-parameter": ("g_ssl", "g_slew", "parameter names"),
     "input-loses-const": ("const double *p_wd", "double *p_wd", "outputs"),
+    "scale-loses-const": (
+        "const double *r_scale",
+        "double *r_scale",
+        "outputs",
+    ),
+    "double-for-column-table": (
+        "const int64_t *p_col",
+        "const double *p_col",
+        "types differ",
+    ),
+    "drop-wire-parameter": ("const double *p_rc, ", "", "parameter names"),
     "non-void-return": (
         f"void {native.KERNEL_FUNCTION}(",
         f"int {native.KERNEL_FUNCTION}(",
@@ -269,6 +283,30 @@ def test_nominal_run_passes_null_u(placed, fake):
     engine = STAEngine(*placed)
     engine.run(None, engine="compiled")
     assert fake.calls and all(call[2] is None for call in fake.calls)
+    assert all(call[4] is None and call[5] is None for call in fake.calls)
+
+
+def test_wire_run_passes_per_block_scale_rows(placed, fake):
+    """Each block gets its own rows of the scales; a missing one is NULL.
+
+    The kernel reads C-ordered rows, so Fortran-ordered input is copied
+    once and passes the per-block check.
+    """
+    engine = STAEngine(*placed)
+    program = engine.program
+    scales = np.asfortranarray(
+        np.random.default_rng(6).uniform(
+            0.5, 1.5, (NUM_SAMPLES, program.num_nets)
+        )
+    )
+    engine.run(
+        _samples(engine.netlist), engine="compiled", wire_scales={"C": scales}
+    )
+    block = program._native_block_size(NUM_SAMPLES, program.num_slots)
+    assert len(fake.calls) == -(-NUM_SAMPLES // block) > 1
+    for call in fake.calls:
+        assert call[3] == program.num_nets
+        assert call[4] is None and call[5] is not None
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +318,8 @@ def test_scratch_without_the_thread_factor_is_caught(
     mutant = _mutant_program_class(
         monkeypatch,
         tmp_path,
-        "kscratch = np.empty(4 * block * threads)",
-        "kscratch = np.empty(4 * block)",
+        "kscratch = np.empty(6 * block * threads)",
+        "kscratch = np.empty(6 * block)",
     )
     monkeypatch.setattr(sta, "CompiledTimingProgram", mutant)
     _expect_violation(fake, STAEngine(*placed), "scratch", threads=2)
@@ -305,39 +343,35 @@ def test_arena_one_element_short_is_caught(
 # ----------------------------------------------------------------------
 def test_gate_table_missing_an_entry_is_caught(placed, fake):
     engine = STAEngine(*placed)
-    engine.program._k_bd = engine.program._k_bd[:-1]
+    tables = engine.program._tables
+    tables["g_bd"] = tables["g_bd"][:-1]
     _expect_violation(fake, engine, "g_bd")
 
 
 def test_float32_dff_row_is_caught(placed, fake):
     engine = STAEngine(*placed)
-    assert engine.program._dff_k1.size > 0
-    engine.program._dff_k1 = engine.program._dff_k1.astype(np.float32)
+    tables = engine.program._tables
+    assert tables["dff_k1"].size > 0
+    tables["dff_k1"] = tables["dff_k1"].astype(np.float32)
     _expect_violation(fake, engine, "dff_k1")
 
 
-def test_non_contiguous_projection_is_caught(placed, fake, monkeypatch):
+def test_non_contiguous_projection_is_caught(placed, fake):
+    """A strided view's row blocks are not C-contiguous, so the first
+    block's ``u`` fails its per-block check before any call."""
     engine = STAEngine(*placed)
-    program = engine.program
-    drive = program._drive
-
-    def fortran_u_drive(
-        num_samples, block, products, projection, keep_all, evaluate
-    ):
-        def evaluate_fortran(start, stop, u):
-            return evaluate(start, stop, np.asfortranarray(u))
-
-        return drive(
-            num_samples,
-            block,
-            products,
-            projection,
-            keep_all,
-            evaluate_fortran,
+    rng = np.random.default_rng(5)
+    num_gates = engine.netlist.num_gates
+    wide = rng.standard_normal((NUM_SAMPLES, 2 * num_gates)) * 0.1
+    with pytest.raises(native.KernelArgumentError) as info:
+        engine.program.execute(
+            NUM_SAMPLES,
+            projection=wide[:, :num_gates],
+            input_slew_ps=10.0,
+            native_threads=1,
         )
-
-    monkeypatch.setattr(program, "_drive", fortran_u_drive)
-    _expect_violation(fake, engine, "u")
+    assert info.value.argument == "u"
+    assert fake.calls == [], "kernel entered despite a contract violation"
 
 
 def test_fortran_ordered_precomputed_projection_is_caught(placed, fake):
@@ -373,6 +407,7 @@ def _one_gate_args(rows=4):
     args = {
         "num_rows": rows,
         "num_model_gates": 1,
+        "num_nets": 2,
         "input_slew": 10.0,
         "pi_slots": i64(0),
         "num_pi": 1,
@@ -381,15 +416,17 @@ def _one_gate_args(rows=4):
         "g_fanin": i64(1),
         "g_out_slot": i64(1),
         "g_id": i64(0),
+        "g_col": i64(1),
         "p_slot": i64(0),
+        "p_col": i64(0),
         "arena_a": np.zeros(2 * rows),
         "arena_s": np.zeros(2 * rows),
-        "scratch": np.zeros(4 * rows),
+        "scratch": np.zeros(6 * rows),
         "num_threads": 1,
     }
-    args["dff_slots"] = args["dff_gids"] = i64()
+    args["dff_slots"] = args["dff_gids"] = args["dff_col"] = i64()
     for arg in native.KERNEL_ARGS:
-        if arg.name not in args and arg.name != "u":
+        if arg.name not in args and arg.name not in _PER_BLOCK:
             # The float64 tables: per DFF (none) or per gate/pin (one).
             dff = arg.name.startswith("dff_")
             args[arg.name] = np.zeros(0) if dff else np.ones(1)
@@ -407,7 +444,12 @@ def test_one_gate_program_binds_and_runs():
     call = native.BoundKernel(kernel, **_one_gate_args())
     call(3, np.zeros((3, 1)))
     call(4, None)
-    assert [args[0] for args in kernel.calls] == [3, 4]
+    call(2, None, np.ones((2, 2)), np.ones((2, 2)))
+    call(1, np.zeros((1, 1)), None, np.ones((1, 2)))
+    assert [args[0] for args in kernel.calls] == [3, 4, 2, 1]
+    assert [args[4] is None for args in kernel.calls] == [
+        True, True, False, True
+    ]
 
 
 def test_extents_follow_the_other_arguments():
@@ -423,6 +465,18 @@ def test_extents_follow_the_other_arguments():
     args = _one_gate_args()
     args["g_id"] = np.array([1], dtype=np.int64)  # u has one column
     assert _violation(args) == "g_id"
+    for table in ("p_col", "g_col"):
+        args = _one_gate_args()
+        args[table] = np.array([2], dtype=np.int64)  # two nets
+        assert _violation(args) == table
+    args = _one_gate_args()
+    args["num_dff"] = 1
+    for name in args:
+        if name.startswith("dff_"):
+            args[name] = np.ones(1)
+    args["dff_slots"] = args["dff_gids"] = np.array([0], dtype=np.int64)
+    args["dff_col"] = np.array([2], dtype=np.int64)  # two nets
+    assert _violation(args) == "dff_col"
 
 
 def test_malformed_arguments_are_named():
@@ -447,6 +501,25 @@ def test_per_block_rows_and_projection_are_rechecked():
         call(5, None)
     with pytest.raises(native.KernelArgumentError, match="'u'"):
         call(4, np.zeros((3, 1)))
+    # u is (rows, 1) here, so only the two-column scale rows can be
+    # Fortran-ordered; every per-block pointer is checked for the rest.
+    rows = np.ones((4, 2))
+    bad_rows = {
+        "Fortran-ordered": np.asfortranarray(rows),
+        "short": rows[:3],
+        "float32": rows.astype(np.float32),
+    }
+    for position, name in ((2, "r_scale"), (3, "c_scale")):
+        for problem, value in bad_rows.items():
+            per_block = [None, None]
+            per_block[position - 2] = value
+            with pytest.raises(native.KernelArgumentError) as info:
+                call(4, None, *per_block)
+            assert info.value.argument == name, problem
+            assert repr(name) in str(info.value)
+    for value in (np.zeros((3, 1)), np.zeros((4, 1), dtype=np.float32)):
+        with pytest.raises(native.KernelArgumentError, match="'u'"):
+            call(4, value)
     assert kernel.calls == []
 
 

@@ -183,13 +183,17 @@ class TestBitwiseDeterminism:
 
     def test_no_native_falls_back_cleanly(self, engine, monkeypatch):
         # REPRO_NO_NATIVE disables the kernel entirely; a threaded
-        # request must still produce the same numbers via NumPy.
+        # request then runs the reference loop, bit for bit, and the
+        # kernel's numbers match it to reassociation error.
         samples = _samples(engine, 33)
         base = self._run(engine, samples, 1)
+        reference = engine.run(samples, engine="reference")
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         monkeypatch.setattr(native, "_cached", None)
         monkeypatch.setattr(native, "_cached_key", None)
         fallback = self._run(engine, samples, 4)
+        assert engine.program.last_run_native is False
+        assert np.array_equal(fallback.worst_delay, reference.worst_delay)
         np.testing.assert_allclose(
             fallback.worst_delay, base.worst_delay, rtol=1e-12, atol=1e-9
         )
@@ -212,10 +216,10 @@ class TestBlockSizing:
         # models.  A budget or per-sample accounting change must show up
         # here as a deliberate diff, not drift silently.
         program = engine.program
-        num_gates = program._packed_models.num_gates
+        num_gates = program.num_model_gates
         width = program.num_slots
         for threads in (1, 2, 3):
-            per_sample = 8 * (2 * num_gates + 2 * width + 4 * threads + 4)
+            per_sample = 8 * (2 * num_gates + 2 * width + 6 * threads + 4)
             budget = (12 * 1024 * 1024) // threads
             expected = max(32, min(10**9, budget // per_sample))
             assert (
@@ -240,8 +244,8 @@ class TestBlockSizing:
             )
             per_block = (
                 2 * program.num_slots
-                + 4 * threads
-                + 2 * program._packed_models.num_gates
+                + 6 * threads
+                + 2 * program.num_model_gates
             )
             assert (
                 program.native_scratch_bytes(threads)

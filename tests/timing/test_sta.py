@@ -349,6 +349,18 @@ def test_wire_scales_validation(c17_engine, c17_nets):
         )
 
 
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+@pytest.mark.parametrize("key", ["R", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_wire_scales_are_rejected(
+    c17_engine, c17_nets, engine, key, bad
+):
+    scales = np.ones((3, c17_nets))
+    scales[1, 2] = bad
+    with pytest.raises(ValueError, match=rf"wire_scales\['{key}'\].*finite"):
+        c17_engine.run(None, wire_scales={key: scales}, engine=engine)
+
+
 def test_net_order_and_driver_locations(c17_engine, c17):
     order = c17_engine.net_order()
     assert set(order) == set(c17.nets)
