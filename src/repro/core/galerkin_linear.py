@@ -14,7 +14,7 @@ Differences from the piecewise-constant flow of :mod:`repro.core.galerkin`:
 - eigenfunctions are continuous and evaluated by barycentric interpolation,
   so the reconstructed field is continuous across triangle edges.
 
-The payoff (demonstrated in ``benchmarks/test_bench_ablation_basis.py``) is
+The payoff (asserted in ``tests/test_reproduction.py``) is
 a higher convergence order in the mesh size ``h`` than the linear rate the
 paper proves for the constant basis (Theorem 2).
 """

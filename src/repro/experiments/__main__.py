@@ -6,8 +6,8 @@ Usage::
     python -m repro.experiments table1               # the big one
     python -m repro.experiments all                  # everything
 
-Sample counts / circuit selection follow the same environment knobs as the
-benchmarks (``REPRO_SAMPLES``, ``REPRO_FULL``).
+Sample counts and circuit selection follow the environment knobs of
+``repro.experiments.common`` (``REPRO_SAMPLES``, ``REPRO_FULL``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
-"""CLI entry points: ``python -m repro.service {once,bench}``.
+"""CLI entry point: ``python -m repro.service once``.
 
 ``once`` serves a single request cold (no residency) and prints a JSON
-summary — it is both a smoke check and the subprocess the load bench
-uses as its process-per-request baseline.  ``bench`` runs the full
-warm/cold/determinism load test and writes ``BENCH_pr6.json``-style
-output, with optional assertion flags the CI smoke job uses to gate.
+summary.  It is both a smoke check and the process-per-request baseline
+that ``tests/service/test_service.py`` measures the warm daemon against.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.service.bench import run_service_bench, write_bench_json
 from repro.service.client import run_cold_request
 from repro.service.request import AnalysisRequest
 
@@ -49,51 +46,11 @@ def _once(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench(args: argparse.Namespace) -> int:
-    """Run the load bench, write JSON, and apply CI assertion gates."""
-    payload = run_service_bench(
-        circuit=args.circuit,
-        num_samples=args.num_samples,
-        warm_requests=args.warm_requests,
-        cold_requests=args.cold_requests,
-        base_seed=args.seed,
-    )
-    write_bench_json(payload, args.output)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    failures: List[str] = []
-    if args.assert_speedup is not None:
-        speedup = float(str(payload["warm_speedup"]))
-        if speedup < args.assert_speedup:
-            failures.append(
-                f"warm_speedup {speedup:.2f} < required "
-                f"{args.assert_speedup:.2f}"
-            )
-    if args.assert_p99_ms is not None:
-        warm = payload["warm"]
-        assert isinstance(warm, dict)
-        p99 = float(warm["p99_ms"])
-        if p99 > args.assert_p99_ms:
-            failures.append(
-                f"warm p99 {p99:.1f}ms > allowed {args.assert_p99_ms:.1f}ms"
-            )
-    if args.assert_determinism:
-        determinism = payload["determinism"]
-        assert isinstance(determinism, dict)
-        if not determinism["batched_equals_serial"]:
-            failures.append(
-                "determinism check failed: batched != serial "
-                f"(max |diff| = {determinism['max_abs_diff_ps']})"
-            )
-    for failure in failures:
-        print(f"BENCH ASSERTION FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro.service`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="SSTA service: cold single-shot runs and the load bench.",
+        description="SSTA service: cold single-shot runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -105,18 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     once.add_argument("--seed", type=int, default=0)
     once.add_argument("--chunk-size", type=int, default=None)
     once.set_defaults(func=_once)
-
-    bench = sub.add_parser("bench", help="run the warm/cold load bench")
-    bench.add_argument("--circuit", default="c880")
-    bench.add_argument("--num-samples", type=int, default=512)
-    bench.add_argument("--warm-requests", type=int, default=16)
-    bench.add_argument("--cold-requests", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=20080310)
-    bench.add_argument("--output", default="BENCH_pr6.json")
-    bench.add_argument("--assert-speedup", type=float, default=None)
-    bench.add_argument("--assert-p99-ms", type=float, default=None)
-    bench.add_argument("--assert-determinism", action="store_true")
-    bench.set_defaults(func=_bench)
     return parser
 
 

@@ -3,9 +3,9 @@
 The service API is deliberately low-level (submit → stream → result);
 :class:`ServiceClient` adds the blocking one-call form most callers
 want, and :func:`run_cold_request` is the process-local *cold path* —
-build everything from scratch, run once, throw it away — which the load
-bench uses (via ``python -m repro.service once`` subprocesses) as the
-process-per-request baseline the daemon is measured against.
+build everything from scratch, run once, throw it away.  Run through
+``python -m repro.service once`` subprocesses, it is the
+process-per-request baseline the warm daemon is measured against.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.place.placer import Placement
 from repro.timing.library import STATISTICAL_PARAMETERS, CellLibrary
 from repro.timing.sta import STAEngine, STAResult
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.streaming import P2Quantile
+from repro.utils.streaming import P2Quantile, RunningMoments
 
 #: Either flavour of correlated-field sample generator the flow accepts.
 SampleGenerator = Union[CholeskySampleGenerator, KLESampleGenerator]
@@ -62,8 +62,7 @@ class StreamingSTAResult:
 
     def __init__(self, quantiles: Sequence[float] = ()) -> None:
         self.num_samples = 0
-        self._worst_mean = 0.0
-        self._worst_m2 = 0.0
+        self._worst = RunningMoments()
         self._end_names: Optional[Tuple[str, ...]] = None
         self._end_mean: Optional[np.ndarray] = None
         self._end_m2: Optional[np.ndarray] = None
@@ -112,11 +111,7 @@ class StreamingSTAResult:
         n_a = self.num_samples
         n = n_a + n_b
 
-        mean_b = float(np.mean(chunk.worst_delay))
-        m2_b = float(np.sum((chunk.worst_delay - mean_b) ** 2))
-        delta = mean_b - self._worst_mean
-        self._worst_mean += delta * n_b / n
-        self._worst_m2 += m2_b + delta * delta * n_a * n_b / n
+        self._worst.push(chunk.worst_delay)
 
         ends = np.stack([chunk.end_arrivals[name] for name in names])
         mean_b_v = ends.mean(axis=1)
@@ -132,13 +127,11 @@ class StreamingSTAResult:
 
     def mean_worst_delay(self) -> float:
         """Running mean of the worst (chip-level) delay."""
-        return self._worst_mean
+        return self._worst.mean
 
     def std_worst_delay(self) -> float:
         """Running population std (ddof=0, matching ``np.std``)."""
-        if self.num_samples == 0:
-            return 0.0
-        return float(np.sqrt(self._worst_m2 / self.num_samples))
+        return self._worst.std
 
     def output_mean(self) -> Dict[str, float]:
         """Per-end-point running mean arrival, keyed by net name."""

@@ -1,5 +1,4 @@
-"""Shared utilities: RNG, linear algebra, streaming stats, artifact cache,
-bench timing."""
+"""Shared utilities: RNG, linear algebra, streaming stats, artifact cache."""
 
 from repro.utils.artifact_cache import (
     ArtifactCache,
@@ -12,7 +11,6 @@ from repro.utils.artifact_cache import (
     reset_cache_registry,
     write_artifact,
 )
-from repro.utils.bench import TimingStats, timed_median
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.linalg import (
     cholesky_with_jitter,
@@ -28,7 +26,6 @@ __all__ = [
     "CorruptArtifactError",
     "P2Quantile",
     "RunningMoments",
-    "TimingStats",
     "as_generator",
     "cache_stats",
     "cholesky_with_jitter",
@@ -40,6 +37,5 @@ __all__ = [
     "reset_cache_registry",
     "spawn_generators",
     "symmetric_generalized_eigh",
-    "timed_median",
     "write_artifact",
 ]

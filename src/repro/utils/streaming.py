@@ -83,10 +83,9 @@ class RunningMoments:
         """Fold another accumulator into this one (pairwise Chan merge).
 
         Merging an empty accumulator (``count == 0``) is a no-op on
-        either side — a worker that never observed a sample contributes
-        nothing rather than a ``0/0`` NaN.  Used to combine per-worker
-        statistics (e.g. the service scheduler's per-worker latency
-        moments) without retaining samples.
+        either side: one that never observed a sample contributes
+        nothing rather than a ``0/0`` NaN.  Accumulators filled
+        separately combine without retaining samples.
         """
         n_b = other.count
         if n_b == 0:

@@ -1,7 +1,8 @@
 """Tests for the figure/table experiment drivers (small configurations).
 
-These verify the *shape* claims of each exhibit at reduced sample counts;
-the full-scale regeneration lives in benchmarks/.
+These verify the *shape* claims of each exhibit at reduced sizes; the
+paper-scale claims are in tests/test_reproduction.py and
+tests/test_regression_goldens.py.
 """
 
 import numpy as np
@@ -37,6 +38,14 @@ def test_fig1a_surface_properties(context):
     assert data.values.min() >= 0.0
     # Correlation decays away from the centre in every direction.
     assert data.values[0, 0] < 0.01
+    # Isotropy: the four mid-edge values agree.
+    edges = [
+        data.values[0, 15],
+        data.values[-1, 15],
+        data.values[15, 0],
+        data.values[15, -1],
+    ]
+    assert np.ptp(edges) < 1e-9
 
 
 def test_fig1b_outcomes(context):
@@ -52,6 +61,7 @@ def test_fig3a_gaussian_wins():
     data = fig3a_kernel_fits()
     assert data.gaussian_wins
     assert data.gaussian.rmse < data.exponential.rmse
+    assert data.gaussian.max_error < data.exponential.max_error
 
 
 def test_fig3b_reconstruction_small_error(gaussian_kle):

@@ -1,7 +1,8 @@
 """Small-configuration tests of the Fig. 6 sweep drivers.
 
-The full-scale sweeps live in benchmarks/; here we verify the drivers'
-mechanics (shapes, determinism, trend at drastic settings) cheaply.
+The c1908 sweeps at N = 2000 are in tests/test_reproduction.py; here we
+verify the drivers' mechanics (shapes, determinism, trend at drastic
+settings) cheaply.
 """
 
 import pytest

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import get_context
 from repro.mesh.geometry import point_in_triangle
 from repro.mesh.locate import TriangleLocator
 from repro.mesh.quadtree import QuadtreeLocator
@@ -17,6 +18,7 @@ def meshes():
     return {
         "structured": structured_rectangle_mesh(*DIE, 8, 8),
         "refined": refine_rectangle(*DIE, max_area=0.03),
+        "paper": get_context().mesh,
     }
 
 
@@ -31,7 +33,7 @@ def test_located_triangle_contains_point(meshes, kind):
         assert point_in_triangle(tuple(p), tuple(a), tuple(b), tuple(c))
 
 
-@pytest.mark.parametrize("kind", ["structured", "refined"])
+@pytest.mark.parametrize("kind", ["structured", "refined", "paper"])
 def test_agrees_with_grid_locator(meshes, kind):
     """Grid and quadtree indexes are drop-in interchangeable."""
     mesh = meshes[kind]

@@ -1,8 +1,7 @@
 """Smoke tests: the example scripts run end to end.
 
-Only the fast examples run here (the SSTA/timing walkthroughs are
-exercised by the benchmarks); each must complete and print its headline
-result.  Keeps deliverable (b) executable at all times.
+The fast examples run here, the SSTA walkthroughs at reduced sizes;
+each must complete and print its headline result.  Keeps deliverable (b) executable at all times.
 """
 
 import os

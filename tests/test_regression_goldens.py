@@ -40,6 +40,7 @@ def test_golden_paper_mesh_size(paper_setup):
 def test_golden_leading_eigenvalues(paper_setup):
     _kernel, _mesh, kle = paper_setup
     expected = [0.86391, 0.56263, 0.56261, 0.36645, 0.27960]
+    assert kle.num_eigenpairs == 200
     assert np.allclose(kle.eigenvalues[:5], expected, rtol=2e-3)
 
 
@@ -55,6 +56,7 @@ def test_golden_reconstruction_error(paper_setup):
     _kernel, _mesh, kle = paper_setup
     report = kernel_reconstruction_report(kle, r=25)
     assert report.max_abs_error == pytest.approx(0.0045, abs=0.002)
+    assert report.rms_error < report.max_abs_error
 
 
 def test_golden_c880_structure():

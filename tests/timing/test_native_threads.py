@@ -1,6 +1,6 @@
 """The multithreaded native kernel: env contract, fallbacks, determinism.
 
-Three layers are pinned here.  The *environment contract*:
+Four layers are pinned here.  The *environment contract*:
 ``REPRO_NATIVE_THREADS`` parses as documented (unset → serial, ``auto``
 → all cores, garbage → a typed error rather than a silent serial run).
 The *capability probe*: ``REPRO_NATIVE_THREAD_BACKEND`` pins each
@@ -8,13 +8,19 @@ backend, and the ``none`` backend still exports a working entry point
 (sequential lane sweep).  The *determinism gate*: the central
 claim that thread count never changes a single bit of output — compiled
 runs at 1, 2 and 3 workers over an odd sample count must be
-``np.array_equal``, not merely close.
+``np.array_equal``, not merely close.  The *scaling gate*: on a host
+with at least 4 cores, 4 workers sweep the largest default Table 1
+circuit at least 2x faster than 1 worker.
 """
+
+import os
+import statistics
+import time
 
 import numpy as np
 import pytest
 
-from repro.circuit.benchmarks import load_circuit
+from repro.circuit.benchmarks import get_spec, load_circuit
 from repro.place.placer import place_netlist
 from repro.timing import native
 from repro.timing.library import STATISTICAL_PARAMETERS
@@ -196,6 +202,47 @@ class TestBitwiseDeterminism:
         assert np.array_equal(fallback.worst_delay, reference.worst_delay)
         np.testing.assert_allclose(
             fallback.worst_delay, base.worst_delay, rtol=1e-12, atol=1e-9
+        )
+
+
+# ----------------------------------------------------------------------
+# Thread scaling.
+# ----------------------------------------------------------------------
+class TestThreadScaling:
+    def test_four_workers_sweep_at_least_twice_as_fast(self):
+        # A host with fewer than 4 cores cannot falsify a parallel
+        # speedup claim, so the gate skips before building anything.
+        cores = os.cpu_count() or 1
+        if cores < 4:
+            pytest.skip(f"host has {cores} core(s); the gate needs 4")
+        if native.sanitize_mode():
+            pytest.skip("an instrumented sanitizer build is not timed")
+        if native.load_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        from repro.experiments.common import get_context
+        from repro.experiments.table1 import default_table1_circuits
+
+        circuit = max(
+            default_table1_circuits(), key=lambda c: get_spec(c).num_gates
+        )
+        context = get_context()
+        netlist = context.circuit(circuit)
+        engine = STAEngine(netlist, context.placement(circuit))
+        samples = _samples(engine, 2000, seed=2008)
+        warmup = {name: m[:8] for name, m in samples.items()}
+        medians = {}
+        for threads in (1, 4):
+            engine.run(warmup, engine="compiled", native_threads=threads)
+            seconds = []
+            for _ in range(5):
+                start = time.perf_counter()
+                engine.run(samples, engine="compiled", native_threads=threads)
+                seconds.append(time.perf_counter() - start)
+            medians[threads] = statistics.median(seconds)
+        speedup = medians[1] / medians[4]
+        assert speedup >= 2.0, (
+            f"4 workers only {speedup:.2f}x faster than 1 on {circuit} at "
+            f"N=2000 (medians {medians[1]:.3f} s and {medians[4]:.3f} s)"
         )
 
 
