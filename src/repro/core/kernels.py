@@ -56,12 +56,18 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between two point sets.
 
     ``x`` has shape ``(m, 2)`` and ``y`` shape ``(k, 2)``; the result has
-    shape ``(m, k)``.
+    shape ``(m, k)``.  Built from one ``(m, k)`` difference per coordinate,
+    squared and added in place, without an ``(m, k, 2)`` temporary; the
+    bits equal those of summing the squared difference tensor.
     """
     x = _as_points(x, "x").reshape(-1, 2)
     y = _as_points(y, "y").reshape(-1, 2)
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    dx = x[:, None, 0] - y[None, :, 0]
+    dy = x[:, None, 1] - y[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 class CovarianceKernel(abc.ABC):

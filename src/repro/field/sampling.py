@@ -38,6 +38,7 @@ from typing import (
 )
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from repro.core.kernels import CovarianceKernel
 from repro.core.kle import KLEResult
@@ -177,7 +178,10 @@ class CholeskySampleGenerator:
         for (name, kernel), rng in zip(self.kernels.items(), generators):
             upper = self._factor_cache[id(kernel)]
             normals = rng.standard_normal((num_samples, upper.shape[0]))
-            raw[name] = normals @ upper
+            # ``normals @ upper`` as a triangular multiply that skips the
+            # zeros below the diagonal: (Uᵀ normalsᵀ)ᵀ, in place on the
+            # Fortran-ordered normalsᵀ, with the factor as LAPACK left it.
+            raw[name] = dtrmm(1.0, upper, normals.T, trans_a=1, overwrite_b=1).T
         samples = _mix_parameters(raw, self._cross_upper)
         generate_seconds = time.perf_counter() - start
         return SampleGenerationResult(samples, setup_seconds, generate_seconds)

@@ -119,7 +119,6 @@ class IncrementalDelaunay:
         max_steps = 4 * len(self._triangles) + 16
         for _ in range(max_steps):
             i, j, k = self._triangles[tri_id]
-            pi, pj, pk = self._points[i], self._points[j], self._points[k]
             moved = False
             for u, v in ((i, j), (j, k), (k, i)):
                 if orientation_sign(self._points[u], self._points[v], point) < 0:
@@ -132,7 +131,6 @@ class IncrementalDelaunay:
                     moved = True
                     break
             if not moved:
-                del pi, pj, pk
                 return tri_id
         # Walk cycled (can happen with near-degenerate geometry): scan.
         for tid, (i, j, k) in self._triangles.items():
@@ -222,9 +220,10 @@ class IncrementalDelaunay:
         """Coordinates of vertex ``index``."""
         return self._points[index]
 
-    def triangle_ids(self) -> List[int]:
-        """Ids of all live triangles (stable across insertions)."""
-        return list(self._triangles.keys())
+    @property
+    def next_triangle_id(self) -> int:
+        """The id the next new triangle gets; ids are assigned in order."""
+        return self._next_id
 
     def triangle_vertices(self, tri_id: int) -> Tuple[int, int, int]:
         """CCW vertex indices of triangle ``tri_id``."""

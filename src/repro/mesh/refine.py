@@ -24,7 +24,7 @@ via the apex of the single adjacent triangle.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from repro.mesh.geometry import (
     triangle_circumcenter,
     triangle_min_angle,
 )
+from repro.mesh.mesh import TriangleMesh
 
 #: Size-field callback: ``f(x, y)`` -> maximum triangle area near (x, y).
 AreaLimitFn = Callable[[float, float], float]
-from repro.mesh.mesh import TriangleMesh
 
 Segment = Tuple[int, int]
 
@@ -97,6 +97,15 @@ class _Refiner:
             self.min_segment_length = math.sqrt(floor_area) / 16.0
         else:
             self.min_segment_length = math.sqrt(domain_area) / 4096.0
+        # Work list of the quality loop (see :meth:`_next_poor`): poor
+        # triangle ids in ascending order, the first id not yet tested and
+        # a triangle to re-examine before the others.  A triangle whose
+        # only remedy was splitting a floor-length segment is abandoned,
+        # not retried forever.
+        self._poor: List[int] = []
+        self._tested = 0
+        self._retry: Optional[int] = None
+        self._abandoned: Set[int] = set()
 
     # -- geometry helpers ------------------------------------------------
     def _pt(self, index: int) -> Tuple[float, float]:
@@ -128,7 +137,7 @@ class _Refiner:
         apex = next(v for v in (i, j, k) if v != a and v != b)
         return segment_encroached(self._pt(a), self._pt(b), self._pt(apex))
 
-    def _split_segment(self, seg: Segment, work: List[int]) -> bool:
+    def _split_segment(self, seg: Segment) -> bool:
         """Insert the segment midpoint; returns False if the segment is at
         the minimum-length floor and was left alone."""
         if self._segment_length(seg) < self.min_segment_length:
@@ -136,7 +145,6 @@ class _Refiner:
         a, b = seg
         pa, pb = self._pt(a), self._pt(b)
         midpoint = (0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1]))
-        before = self.tri.num_triangles
         new_index = self.tri.insert(midpoint)
         if new_index in (a, b):
             return False
@@ -147,22 +155,23 @@ class _Refiner:
             raise RefinementError(
                 f"refinement exceeded max_vertices={self.max_vertices}"
             )
-        del before
-        work.extend(self.tri.triangle_ids())
         return True
 
     @staticmethod
     def _norm_segment(u: int, v: int) -> Segment:
         return (u, v) if u < v else (v, u)
 
-    def _fix_encroachments(self, work: List[int]) -> None:
+    def _fix_encroachments(self) -> bool:
+        """Split encroached subsegments until none is; True if any split."""
+        split = False
         changed = True
         while changed:
             changed = False
             for seg in list(self.segments):
                 if seg in self.segments and self._segment_is_encroached(seg):
-                    if self._split_segment(seg, work):
-                        changed = True
+                    if self._split_segment(seg):
+                        changed = split = True
+        return split
 
     # -- quality loop ------------------------------------------------------
     def _triangle_is_poor(self, tid: int) -> bool:
@@ -178,30 +187,49 @@ class _Refiner:
                 return True
         return triangle_min_angle(a, b, c) < self.min_angle
 
+    def _next_poor(self) -> Optional[int]:
+        """The next live, poor, non-abandoned triangle to refine, or None.
+
+        A triangle's vertices never change and ids are never reused, so
+        each triangle's quality is tested once, by the first call that
+        sees its id.  Poor ids wait in ascending order and the highest
+        goes first, except that a pending retry goes before all of them.
+        A triangle that survives its turn keeps its place; dead and
+        abandoned ids are dropped when they reach the top.
+        """
+        live = self.tri._triangles
+        for tid in range(self._tested, self.tri.next_triangle_id):
+            if tid in live and self._triangle_is_poor(tid):
+                self._poor.append(tid)
+        self._tested = self.tri.next_triangle_id
+        if self._retry is not None:
+            tid, self._retry = self._retry, None
+            return tid
+        while self._poor:
+            tid = self._poor[-1]
+            if tid in live and tid not in self._abandoned:
+                return tid
+            self._poor.pop()
+        return None
+
     def run(self) -> TriangleMesh:
-        work: List[int] = []
-        self._fix_encroachments(work)
-        work = self.tri.triangle_ids()
-        # Triangles we chose not to refine because the only remedy was
-        # splitting a floor-length segment: don't retry them forever.
-        abandoned: Set[int] = set()
+        self._fix_encroachments()
+        # Counts the triangles refined, not work-list entries.
         guard = 0
         guard_limit = 64 * self.max_vertices + 10_000
-        while work:
+        while True:
+            tid = self._next_poor()
+            if tid is None:
+                return self.tri.to_mesh()
             guard += 1
             if guard > guard_limit:
                 raise RefinementError("refinement failed to converge")
-            tid = work.pop()
-            if tid in abandoned or tid not in self.tri._triangles:
-                continue
-            if not self._triangle_is_poor(tid):
-                continue
             i, j, k = self.tri.triangle_vertices(tid)
             a, b, c = self._pt(i), self._pt(j), self._pt(k)
             try:
                 center = triangle_circumcenter(a, b, c)
             except ValueError:
-                abandoned.add(tid)
+                self._abandoned.add(tid)
                 continue
 
             encroached = [
@@ -212,7 +240,7 @@ class _Refiner:
             if encroached or not self._inside_domain(center):
                 split_any = False
                 for seg in encroached:
-                    if seg in self.segments and self._split_segment(seg, work):
+                    if seg in self.segments and self._split_segment(seg):
                         split_any = True
                 if not split_any and not self._inside_domain(center):
                     # Circumcenter outside but no splittable segment: fall
@@ -224,26 +252,25 @@ class _Refiner:
                     ]
                     (pa, pb), length = max(sides, key=lambda t: t[1])
                     if length < 2.0 * self.min_segment_length:
-                        abandoned.add(tid)
+                        self._abandoned.add(tid)
                         continue
                     midpoint = (0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1]))
                     self.tri.insert(midpoint)
-                    work.extend(self.tri.triangle_ids())
                 elif not split_any:
-                    abandoned.add(tid)
+                    self._abandoned.add(tid)
                     continue
-                if tid in self.tri._triangles:
-                    work.append(tid)  # re-examine after the splits
-                self._fix_encroachments(work)
+                split_more = self._fix_encroachments()
+                if not split_more and tid in self.tri._triangles:
+                    # Re-examine it next; further splits give it back its
+                    # place among the other poor triangles instead.
+                    self._retry = tid
             else:
                 self.tri.insert(center)
                 if self.tri.num_vertices > self.max_vertices:
                     raise RefinementError(
                         f"refinement exceeded max_vertices={self.max_vertices}"
                     )
-                work.extend(self.tri.triangle_ids())
-                self._fix_encroachments(work)
-        return self.tri.to_mesh()
+                self._fix_encroachments()
 
 
 def refine_rectangle(
@@ -271,7 +298,9 @@ def refine_rectangle(
     so the mesh spends triangles where the gates are.
 
     Returns a conforming :class:`TriangleMesh` whose every triangle
-    satisfies all requested bounds.
+    satisfies all requested bounds.  Raises :class:`RefinementError` when
+    the mesh would exceed ``max_vertices`` vertices, or after
+    ``64 * max_vertices + 10_000`` triangles refined without converging.
     """
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("rectangle must have positive width and height")
@@ -301,8 +330,6 @@ def gate_density_area_limit(
     ``area_limit_fn`` — an accuracy/cost knob for the KLE: parameter values
     are read per triangle, so resolution only matters where gates sit.
     """
-    import numpy as np
-
     if dense_area <= 0.0 or sparse_area <= 0.0:
         raise ValueError("area bounds must be positive")
     if dense_area > sparse_area:

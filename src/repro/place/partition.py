@@ -20,14 +20,21 @@ from repro.utils.rng import SeedLike, as_generator
 
 
 class _GainBuckets:
-    """Bucket array keyed by integer gain with a moving max pointer."""
+    """Cells filed by integer gain, with a moving max pointer.
 
-    def __init__(self, max_gain: int):
+    ``gains`` is every cell's current gain; :meth:`bump` keeps a filed
+    cell under its current gain.
+    """
+
+    def __init__(self, gains: List[int], max_gain: int):
+        self.gains = gains
         self.offset = max_gain
         self.buckets: List[Dict[int, None]] = [
             {} for _ in range(2 * max_gain + 1)
         ]
-        self.max_index = -1
+        for cell, gain in enumerate(gains):
+            self.buckets[gain + max_gain][cell] = None
+        self.max_index = max(gains, default=-1 - max_gain) + max_gain
 
     def insert(self, cell: int, gain: int) -> None:
         index = gain + self.offset
@@ -35,9 +42,16 @@ class _GainBuckets:
         if index > self.max_index:
             self.max_index = index
 
-    def remove(self, cell: int, gain: int) -> None:
+    def bump(self, cell: int, delta: int) -> None:
+        """Add ``delta`` to ``cell``'s gain and re-file it last under it."""
+        gain = self.gains[cell]
+        self.buckets[gain + self.offset].pop(cell, None)
+        gain += delta
+        self.gains[cell] = gain
         index = gain + self.offset
-        self.buckets[index].pop(cell, None)
+        self.buckets[index][cell] = None
+        if index > self.max_index:
+            self.max_index = index
 
     def pop_best(self) -> Optional[tuple]:
         while self.max_index >= 0:
@@ -52,10 +66,11 @@ class _GainBuckets:
 
 def cut_size(nets: Sequence[Sequence[int]], sides: np.ndarray) -> int:
     """Number of nets with cells on both sides of the partition."""
+    side_of = np.asarray(sides).tolist()
     count = 0
     for net in nets:
-        first = sides[net[0]]
-        if any(sides[cell] != first for cell in net[1:]):
+        first = side_of[net[0]]
+        if any(side_of[cell] != first for cell in net[1:]):
             count += 1
     return count
 
@@ -113,7 +128,7 @@ def fm_bipartition(
     # Clean nets: dedupe pins, drop singletons and over-wide nets.
     clean_nets: List[List[int]] = []
     for net in nets:
-        pins = sorted(set(int(c) for c in net))
+        pins = sorted(set(map(int, net)))
         if len(pins) < 2 or len(pins) > net_degree_cap:
             continue
         if pins[0] < 0 or pins[-1] >= num_cells:
@@ -134,13 +149,13 @@ def fm_bipartition(
     max_degree = max((len(n) for n in cell_nets), default=1)
 
     def random_balanced_start() -> np.ndarray:
-        order = rng.permutation(num_cells)
+        weight = weights.tolist()
         sides = np.zeros(num_cells, dtype=np.int8)
         running = 0.0
         half = total_weight / 2.0
-        for cell in order:
+        for cell in rng.permutation(num_cells).tolist():
             if running < half:
-                running += weights[cell]
+                running += weight[cell]
             else:
                 sides[cell] = 1
         return sides
@@ -161,14 +176,16 @@ def fm_bipartition(
 
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    best_sides: Optional[np.ndarray] = None
-    best_cut = -1
-    for _ in range(restarts):
+    # The lowest cut wins, the earliest start on ties.
+    best_sides = optimize(random_balanced_start())
+    if restarts == 1:
+        return best_sides
+    best_cut = cut_size(clean_nets, best_sides)
+    for _ in range(restarts - 1):
         sides = optimize(random_balanced_start())
         cut = cut_size(clean_nets, sides)
-        if best_sides is None or cut < best_cut:
+        if cut < best_cut:
             best_sides, best_cut = sides, cut
-    assert best_sides is not None
     return best_sides
 
 
@@ -180,33 +197,39 @@ def _fm_pass(
     high: float,
     max_degree: int,
 ) -> bool:
-    """One FM pass; mutates ``sides`` in place; returns True on improvement."""
-    num_cells = len(sides)
-    # Per-net side population counts.
-    count = np.zeros((len(nets), 2), dtype=np.int32)
-    for net_index, net in enumerate(nets):
-        for cell in net:
-            count[net_index, sides[cell]] += 1
+    """One FM pass; mutates ``sides`` in place; returns True on improvement.
 
-    gains = np.zeros(num_cells, dtype=np.int32)
-    for cell in range(num_cells):
-        side = sides[cell]
+    The pass keeps its state in Python lists, because indexing numpy
+    scalars would dominate the inner loops; ``sides`` is written once, at
+    the end, with the kept prefix of moves.
+    """
+    side_of: List[int] = sides.tolist()
+    weight: List[float] = weights.tolist()
+    num_cells = len(side_of)
+    # Per-net side population counts.
+    count = [[0, 0] for _ in nets]
+    for net_count, net in zip(count, nets):
+        for cell in net:
+            net_count[side_of[cell]] += 1
+
+    gains: List[int] = []
+    for cell, side in enumerate(side_of):
         g = 0
         for net_index in cell_nets[cell]:
-            if count[net_index, side] == 1:
+            net_count = count[net_index]
+            if net_count[side] == 1:
                 g += 1
-            if count[net_index, 1 - side] == 0:
+            if net_count[1 - side] == 0:
                 g -= 1
-        gains[cell] = g
+        gains.append(g)
 
-    buckets = _GainBuckets(max(max_degree, 1))
-    for cell in range(num_cells):
-        buckets.insert(cell, int(gains[cell]))
+    buckets = _GainBuckets(gains, max(max_degree, 1))
+    bump = buckets.bump
 
-    side_weight = np.array(
-        [weights[sides == 0].sum(), weights[sides == 1].sum()]
-    )
-    locked = np.zeros(num_cells, dtype=bool)
+    side_weight = [
+        float(weights[sides == 0].sum()), float(weights[sides == 1].sum())
+    ]
+    locked = [False] * num_cells
     moves: List[int] = []
     gain_history: List[int] = []
     deferred: List[tuple] = []
@@ -218,77 +241,59 @@ def _fm_pass(
             if locked[cell] or gain != gains[cell]:
                 best = buckets.pop_best()  # stale entry
                 continue
-            from_side = sides[cell]
-            new_to = side_weight[1 - from_side] + weights[cell]
-            if new_to > high:
+            if side_weight[1 - side_of[cell]] + weight[cell] > high:
                 deferred.append((cell, gain))
                 best = buckets.pop_best()
                 continue
-            break
-        else:
-            best = None
-        if best is None:
-            for cell, gain in deferred:
-                if not locked[cell] and gain == gains[cell]:
-                    buckets.insert(cell, gain)
             break
         for cell_d, gain_d in deferred:
             if not locked[cell_d] and gain_d == gains[cell_d]:
                 buckets.insert(cell_d, gain_d)
         deferred = []
+        if best is None:
+            break
 
         cell, gain = best
-        from_side = int(sides[cell])
+        from_side = side_of[cell]
         to_side = 1 - from_side
         locked[cell] = True
-        sides[cell] = to_side
-        side_weight[from_side] -= weights[cell]
-        side_weight[to_side] += weights[cell]
+        side_of[cell] = to_side
+        side_weight[from_side] -= weight[cell]
+        side_weight[to_side] += weight[cell]
         moves.append(cell)
-        gain_history.append(int(gain))
+        gain_history.append(gain)
 
         # Incremental gain update (standard FM bookkeeping).
         for net_index in cell_nets[cell]:
-            before_to = count[net_index, to_side]
+            net = nets[net_index]
+            net_count = count[net_index]
+            before_to = net_count[to_side]
             if before_to == 0:
-                for other in nets[net_index]:
+                for other in net:
                     if not locked[other]:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] += 1
-                        buckets.insert(other, int(gains[other]))
+                        bump(other, 1)
             elif before_to == 1:
-                for other in nets[net_index]:
-                    if not locked[other] and sides[other] == to_side:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] -= 1
-                        buckets.insert(other, int(gains[other]))
-            count[net_index, from_side] -= 1
-            count[net_index, to_side] += 1
-            after_from = count[net_index, from_side]
+                for other in net:
+                    if not locked[other] and side_of[other] == to_side:
+                        bump(other, -1)
+            net_count[from_side] -= 1
+            net_count[to_side] += 1
+            after_from = net_count[from_side]
             if after_from == 0:
-                for other in nets[net_index]:
+                for other in net:
                     if not locked[other]:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] -= 1
-                        buckets.insert(other, int(gains[other]))
+                        bump(other, -1)
             elif after_from == 1:
-                for other in nets[net_index]:
-                    if not locked[other] and sides[other] == from_side:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] += 1
-                        buckets.insert(other, int(gains[other]))
+                for other in net:
+                    if not locked[other] and side_of[other] == from_side:
+                        bump(other, 1)
 
     if not moves:
         return False
     prefix_sums = np.cumsum(gain_history)
     best_index = int(np.argmax(prefix_sums))
-    best_gain = int(prefix_sums[best_index])
-    if best_gain <= 0:
-        # Roll back everything.
-        for cell in moves:
-            sides[cell] ^= 1
-        return False
-    # Roll back moves after the best prefix.
-    for cell in moves[best_index + 1 :]:
-        sides[cell] ^= 1
+    if prefix_sums[best_index] <= 0:
+        return False  # roll back every move: ``sides`` was never written
+    # Keep the best prefix of moves.
+    sides[moves[: best_index + 1]] ^= 1
     return True

@@ -146,7 +146,7 @@ def _bisect(
         return
 
     # Re-index the sub-hypergraph to local cell numbering.
-    local_of = {int(cell): i for i, cell in enumerate(cells)}
+    local_of = {cell: i for i, cell in enumerate(cells.tolist())}
     local_nets: List[List[int]] = []
     for net in nets:
         pins = [local_of[c] for c in net if c in local_of]
@@ -177,11 +177,12 @@ def _bisect(
         left_region = (xmin, ymin, xmax, ysplit)
         right_region = (xmin, ysplit, xmax, ymax)
 
-    # Keep only nets that touch each child (cut nets appear in both).
-    left_set = set(int(c) for c in left_cells)
-    right_set = set(int(c) for c in right_cells)
-    left_nets = [n for n in nets if sum(1 for c in n if c in left_set) >= 2]
-    right_nets = [n for n in nets if sum(1 for c in n if c in right_set) >= 2]
+    # Keep only nets with two cells in a child (cut nets may appear in
+    # both); a net lists each of its cells once.
+    left_set = set(left_cells.tolist())
+    right_set = set(right_cells.tolist())
+    left_nets = [n for n in nets if len(left_set.intersection(n)) >= 2]
+    right_nets = [n for n in nets if len(right_set.intersection(n)) >= 2]
     _bisect(left_cells, left_nets, left_region, positions, leaf_size,
             max_passes, rng)
     _bisect(right_cells, right_nets, right_region, positions, leaf_size,

@@ -314,6 +314,21 @@ def test_pairwise_distances_matches_numpy():
     assert np.allclose(pairwise_distances(x, y), expected)
 
 
+@pytest.mark.parametrize(
+    "m, k, scale", [(1, 1, 1.0), (7, 3, 1e-3), (60, 45, 1.0), (20, 20, 1e6)]
+)
+def test_pairwise_distances_bitwise_equal_to_the_difference_tensor(m, k, scale):
+    """Per-coordinate squares added in place give the bits of summing the
+    squared ``(m, k, 2)`` difference tensor (a length-2 sum is one add)."""
+    rng = np.random.default_rng(m + k)
+    x = rng.normal(size=(m, 2)) * scale
+    y = rng.normal(size=(k, 2)) * scale
+    for a, b in ((x, y), (x, x)):
+        diff = a[:, None, :] - b[None, :, :]
+        expected = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert np.array_equal(pairwise_distances(a, b), expected)
+
+
 @given(points, points)
 @settings(max_examples=40, deadline=None)
 def test_pairwise_distance_symmetry_property(p, q):

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.core.kernels import GaussianKernel
-from repro.field.sampling import CholeskySampleGenerator, KLESampleGenerator
+from repro.field.sampling import (
+    CholeskySampleGenerator,
+    KLESampleGenerator,
+    _mix_parameters,
+)
+from repro.utils.rng import spawn_generators
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +65,43 @@ def test_cholesky_relocation_invalidates_cache(kernels, gate_locations):
     moved = gate_locations + 0.01
     again = generator.generate(moved, 5, seed=3)
     assert again.setup_seconds > 0.0
+
+
+def _gemm_reference(generator, gate_locations, num_samples, seed):
+    """Algorithm 1 with the dense product ``normals @ upper``."""
+    generator.prepare(gate_locations)
+    generators = spawn_generators(seed, len(generator.kernels))
+    raw = {}
+    for (name, kernel), rng in zip(generator.kernels.items(), generators):
+        upper = generator._factor_cache[id(kernel)]
+        raw[name] = rng.standard_normal((num_samples, upper.shape[0])) @ upper
+    return _mix_parameters(raw, generator._cross_upper)
+
+
+@pytest.mark.parametrize("case", ["one_sample", "jittered", "mixed"])
+def test_triangular_product_matches_the_dense_product(
+    case, kernels, gate_locations, gaussian_kernel
+):
+    """The triangular multiply sums in another order than the GEMM, so
+    the samples agree to rounding, not bitwise."""
+    num_samples = 1 if case == "one_sample" else 200
+    locations = gate_locations
+    cross = None
+    if case == "jittered":
+        # Repeated gates make the covariance singular: the plain
+        # factorization fails and the jittered one is used.
+        locations = np.vstack([gate_locations, gate_locations[:5]])
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cholesky(gaussian_kernel.matrix(locations))
+    if case == "mixed":
+        cross = _cross_matrix(-0.6)
+    generator = CholeskySampleGenerator(kernels, cross_correlation=cross)
+    result = generator.generate(locations, num_samples, seed=13)
+    expected = _gemm_reference(generator, locations, num_samples, seed=13)
+    for name, matrix in result.samples.items():
+        assert matrix.shape == (num_samples, len(locations))
+        assert matrix.flags.c_contiguous
+        np.testing.assert_allclose(matrix, expected[name], rtol=0, atol=1e-12)
 
 
 def test_kle_generator_shapes(gaussian_kle, gate_locations):

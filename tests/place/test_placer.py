@@ -1,9 +1,13 @@
 """Tests for recursive-bisection placement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.circuit.benchmarks import load_circuit
 from repro.circuit.generate import generate_circuit
+from repro.experiments import DIE_BOUNDS, PLACEMENT_SEED
 from repro.place.hpwl import total_hpwl
 from repro.place.placer import Placement, place_netlist
 
@@ -121,3 +125,24 @@ def test_custom_region():
     assert locations[:, 0].max() <= 10.0
     assert locations[:, 1].max() <= 5.0
     assert locations[:, 0].min() >= 0.0
+
+
+#: sha256 of ``gate_locations()`` at the experiments' seed, pinned from the
+#: FM pass that kept its state in numpy arrays; cached placements and every
+#: result built on them depend on these bits.
+PINNED_PLACEMENTS = {
+    "c880": "c500dc8393ac7ea515d548aff3dd3959a40b221ba3f285ecd07ed720990d27af",
+    "c1908": "9d05361b0c9acbd1603f31a473ae1612470a858a167c786280d7fb171fac47b2",
+    "c3540": "3c7b48bfd577e741a8829ee5f956575fe16de2c82070e41d4b2bbe7a3759dec6",
+    "c5315": "87f502d75452f002cf21f75ce4c3d162d3cf4ef4ac8870ea6eb3eebf7bafcb00",
+    "s9234": "e2989b6a5abec8912cd001f593aebf4b9f30197108699e101e9dac5840fde2e5",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PLACEMENTS))
+def test_benchmark_placement_is_bitwise_pinned(name):
+    placement = place_netlist(
+        load_circuit(name), DIE_BOUNDS, seed=PLACEMENT_SEED
+    )
+    digest = hashlib.sha256(placement.gate_locations().tobytes()).hexdigest()
+    assert digest == PINNED_PLACEMENTS[name]
