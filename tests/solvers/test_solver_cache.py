@@ -74,14 +74,20 @@ def test_every_randomized_parameter_is_in_the_key(mesh):
     assert len(set(changed.values())) == len(changed)
 
 
-def test_changed_parameter_misses_the_cache(mesh, cache):
+@pytest.mark.parametrize(
+    "parameter, value",
+    [("solver_seed", 1), ("oversampling", 9), ("power_iterations", 3)],
+    ids=["solver_seed", "oversampling", "power_iterations"],
+)
+def test_changed_parameter_misses_the_cache(mesh, cache, parameter, value):
+    """Each sketch parameter reaches the key through ``solve_kle`` itself:
+    a second solve with one of them off its default must not hit."""
     solve_kle(
-        KERNEL, mesh, num_eigenpairs=RANK, method="randomized",
-        cache=cache, solver_seed=0,
+        KERNEL, mesh, num_eigenpairs=RANK, method="randomized", cache=cache
     )
     solve_kle(
-        KERNEL, mesh, num_eigenpairs=RANK, method="randomized",
-        cache=cache, solver_seed=1,
+        KERNEL, mesh, num_eigenpairs=RANK, method="randomized", cache=cache,
+        **{parameter: value},
     )
     assert cache.stats.hits == 0
     assert cache.stats.stores == 2
