@@ -27,6 +27,7 @@ from repro.core.kernels import (
     SeparableExponentialKernel,
     SphericalKernel,
     SumKernel,
+    gram_row_tiles,
     pairwise_distances,
 )
 from repro.core.extraction import (
@@ -103,6 +104,7 @@ __all__ = [
     "AnisotropicGaussianKernel",
     "NonstationaryVarianceKernel",
     "pairwise_distances",
+    "gram_row_tiles",
     # extraction
     "AnisotropyReport",
     "Correlogram",

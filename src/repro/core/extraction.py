@@ -34,6 +34,7 @@ from repro.core.kernels import (
     IsotropicKernel,
     MaternBesselKernel,
     SphericalKernel,
+    pairwise_distances,
 )
 
 
@@ -98,10 +99,8 @@ def empirical_correlogram(
     normalized = centered / stds
     corr = (normalized.T @ normalized) / samples.shape[0]
 
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
     iu = np.triu_indices(len(points), k=1)
-    pair_dist = dist[iu]
+    pair_dist = pairwise_distances(points, points)[iu]
     pair_corr = corr[iu]
     if max_distance is None:
         max_distance = float(pair_dist.max())

@@ -13,7 +13,9 @@ criterion (eq. 10) reduces to the generalized eigenvalue problem
 and centroid quadrature approximates ``K_ik ≈ K(c_i, c_k) a_i a_k``
 (eq. 21), with error vanishing linearly in the maximum triangle side h
 (Theorem 2).  Higher-order quadrature rules are supported for the accuracy
-ablation.
+ablation.  Every rule evaluates the kernel in the row tiles of
+:func:`repro.core.kernels.gram_row_tiles`, the loop the matrix-free
+operator of :mod:`repro.solvers` runs on too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.kernels import CovarianceKernel
+from repro.core.kernels import (
+    DEFAULT_TILE_BYTES,
+    CovarianceKernel,
+    gram_row_tiles,
+)
 from repro.core.kle import KLEResult
 from repro.core.quadrature import CENTROID_RULE, TriangleRule, get_rule
 from repro.mesh.mesh import TriangleMesh
@@ -39,62 +45,23 @@ KLE_CACHE_SCHEMA = "kle-eigensolve-v1"
 #: two; ``"randomized"`` routes through :mod:`repro.solvers`).
 KLE_METHODS = ("dense", "arpack", "randomized")
 
-#: Triangle count above which the centroid-rule assembly switches to the
-#: tiled fill: ``kernel.matrix`` allocates ~4 n × n temporaries (the
-#: point-difference array alone is two of them), which dominates peak
-#: memory well before the result matrix itself hurts.
-ASSEMBLY_TILE_THRESHOLD = 2048
-
-
-def _assemble_centroid_tiled(
-    kernel: CovarianceKernel,
-    centroids: np.ndarray,
-    areas: np.ndarray,
-    max_block_bytes: int,
-) -> np.ndarray:
-    """Fill ``K_ik = K(c_i, c_k) a_i a_k`` block-by-block.
-
-    Peak memory is the result matrix plus one row tile of kernel
-    temporaries (bounded by ``max_block_bytes``) — never the full
-    intermediate distance array the one-shot ``kernel.matrix`` path
-    allocates.
-    """
-    n = centroids.shape[0]
-    # A tile of t rows costs ~6 doubles per entry in kernel temporaries
-    # (difference pair, distance, value).
-    rows = max(1, min(n, int(max_block_bytes // (8 * n * 6))))
-    result = np.empty((n, n), dtype=float)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = kernel(centroids[start:stop, None, :], centroids[None, :, :])
-        block *= areas[start:stop, None]
-        block *= areas[None, :]
-        result[start:stop] = block
-    result += result.T
-    result *= 0.5
-    return result
-
 
 def assemble_galerkin_matrix(
     kernel: CovarianceKernel,
     mesh: TriangleMesh,
     *,
     rule: Union[str, TriangleRule] = CENTROID_RULE,
-    max_block_bytes: int = 256 * 1024 * 1024,
-    tile_threshold: Optional[int] = None,
+    max_tile_bytes: int = DEFAULT_TILE_BYTES,
 ) -> np.ndarray:
     """Assemble the symmetric Galerkin matrix ``K`` of eq. (13).
 
     With the centroid rule this is exactly the paper's eq. (21):
     ``K_ik = K(c_i, c_k) a_i a_k``.  With a ``q``-point rule each entry is a
-    double quadrature sum; the ``(nt*q) × (nt*q)`` kernel evaluation is
-    blocked so peak memory stays under ``max_block_bytes``.
-
-    Above ``tile_threshold`` triangles (default
-    :data:`ASSEMBLY_TILE_THRESHOLD`) the centroid path fills the matrix
-    block-by-block so the kernel evaluation's O(n²) temporaries never
-    materialize alongside the result; below it the one-shot path is kept
-    bit-for-bit unchanged.
+    double quadrature sum over the two triangles' nodes.  Either way the
+    kernel is evaluated in :func:`~repro.core.kernels.gram_row_tiles` of at
+    most ``max_tile_bytes`` temporaries, so peak memory is the result plus
+    one tile.  Tiles hold the bits of the whole evaluation and the row sums
+    keep their order, so the budget never changes a bit of the result.
 
     Returns the dense ``(nt, nt)`` matrix, exactly symmetric.
     """
@@ -103,44 +70,28 @@ def assemble_galerkin_matrix(
     num_triangles = mesh.num_triangles
     if num_triangles == 0:
         raise ValueError("cannot assemble a Galerkin matrix on an empty mesh")
-    if tile_threshold is None:
-        tile_threshold = ASSEMBLY_TILE_THRESHOLD
 
-    if rule.num_points == 1:
-        centroids = mesh.centroids
-        areas = mesh.areas
-        if num_triangles > tile_threshold:
-            return _assemble_centroid_tiled(
-                kernel, centroids, areas, max_block_bytes
-            )
-        # Scale rows and columns in place and symmetrize into the same
-        # buffer: the kernel matrix is the only (nt, nt) allocation, vs.
-        # four with ``outer`` + out-of-place symmetrization.
-        result = kernel.matrix(centroids)
-        result *= areas[:, None]
-        result *= areas
-        result += result.T
-        result *= 0.5
-        return result
-
-    points, weights = rule.points_on_mesh(mesh)  # (nt*q, 2), (nt*q,)
     q = rule.num_points
-    total = len(points)
-    # K_ik = sum over quadrature nodes of both triangles; computed as the
-    # triangle-block reduction of diag(w) K(points, points) diag(w).
+    if q == 1:
+        points, weights = mesh.centroids, mesh.areas
+    else:
+        points, weights = rule.points_on_mesh(mesh)  # (nt*q, 2), (nt*q,)
     result = np.zeros((num_triangles, num_triangles), dtype=float)
-    rows_per_block = max(q, int(max_block_bytes / (8 * max(total, 1))) // q * q)
-    for start in range(0, total, rows_per_block):
-        stop = min(start + rows_per_block, total)
-        block = kernel.matrix(points[start:stop], points)  # (rows, nt*q)
-        block = block * weights[start:stop, None] * weights[None, :]
-        # Reduce columns to per-triangle sums, then rows.
-        col_reduced = block.reshape(stop - start, num_triangles, q).sum(axis=2)
-        row_tri = np.repeat(
-            np.arange(start // q, (stop + q - 1) // q), q
-        )[: stop - start]
-        np.add.at(result, row_tri, col_reduced)
-    return 0.5 * (result + result.T)
+    for start, stop, tile in gram_row_tiles(kernel, points, max_tile_bytes):
+        tile *= weights[start:stop, None]
+        tile *= weights
+        if q == 1:
+            result[start:stop] = tile
+        else:
+            # K_ik sums diag(w) K(points, points) diag(w) over both
+            # triangles' nodes: reduce columns to per-triangle sums, then
+            # add each row to its triangle in node order (a tile may split
+            # a triangle's nodes).
+            rows = tile.reshape(stop - start, num_triangles, q).sum(axis=2)
+            np.add.at(result, np.arange(start, stop) // q, rows)
+    result += result.T
+    result *= 0.5
+    return result
 
 
 class GalerkinKLE:
@@ -201,10 +152,11 @@ class GalerkinKLE:
         method:
             ``"dense"`` (LAPACK, default), ``"arpack"`` (iterative
             Lanczos, leading pairs only — equivalent to the Matlab
-            ``eigs`` the paper used), or ``"randomized"`` (matrix-free
-            sketched solve via :mod:`repro.solvers` — never assembles
-            the n × n matrix, the only path that scales to very fine
-            meshes).
+            ``eigs`` the paper used), or ``"randomized"`` (sketched
+            solve via :mod:`repro.solvers`; above
+            :data:`~repro.solvers.DENSE_OPERATOR_THRESHOLD` triangles it
+            never assembles the n × n matrix, the only path that scales
+            to very fine meshes).
         oversampling, power_iterations, solver_seed:
             Randomized-method knobs (ignored otherwise): extra sketch
             columns, subspace-refinement rounds and the

@@ -28,14 +28,16 @@ This module provides every kernel family the paper discusses:
 All kernels operate on points stored as arrays of shape ``(..., 2)`` and
 broadcast like numpy ufuncs.  :meth:`CovarianceKernel.matrix` assembles dense
 covariance matrices for finite point sets (the grid model / Algorithm 1
-substrate).
+substrate), and :func:`gram_row_tiles` evaluates a point set's Gram matrix
+in row tiles under a byte budget (every Galerkin assembly and the tiled
+operator of :mod:`repro.solvers` run on it).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.special
@@ -68,6 +70,45 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+#: Default byte budget of one Gram row tile in :func:`gram_row_tiles`.
+DEFAULT_TILE_BYTES = 64 * 1024 * 1024
+
+#: Doubles of kernel-evaluation temporaries per Gram entry (distances,
+#: profile intermediates and the value); 6 upper-bounds every kernel
+#: family in this module.
+KERNEL_EVAL_TEMP_DOUBLES = 6
+
+
+def gram_tile_rows(
+    num_points: int, max_tile_bytes: int = DEFAULT_TILE_BYTES
+) -> int:
+    """Rows per tile of :func:`gram_row_tiles` over ``num_points`` points."""
+    if max_tile_bytes < 1:
+        raise ValueError(f"max_tile_bytes must be >= 1, got {max_tile_bytes}")
+    per_row = 8 * max(num_points, 1) * KERNEL_EVAL_TEMP_DOUBLES
+    return max(1, min(num_points, int(max_tile_bytes) // per_row))
+
+
+def gram_row_tiles(
+    kernel: "CovarianceKernel",
+    points: np.ndarray,
+    max_tile_bytes: int = DEFAULT_TILE_BYTES,
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield ``(start, stop, kernel.matrix(points[start:stop], points))``.
+
+    The row tiles cover the Gram matrix of ``points`` in order, each with
+    :func:`gram_tile_rows` rows, so the kernel's temporaries stay within
+    ``max_tile_bytes``.  Every entry is evaluated on its own, so the
+    tiles hold the bits of the whole matrix whatever the budget.  Each
+    tile is a fresh array the caller may scale in place.
+    """
+    points = _as_points(points, "points").reshape(-1, 2)
+    rows = gram_tile_rows(len(points), max_tile_bytes)
+    for start in range(0, len(points), rows):
+        stop = min(start + rows, len(points))
+        yield start, stop, kernel.matrix(points[start:stop], points)
 
 
 class CovarianceKernel(abc.ABC):

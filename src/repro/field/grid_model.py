@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import CovarianceKernel
+from repro.core.kernels import CovarianceKernel, pairwise_distances
 from repro.utils.linalg import is_positive_semidefinite, nearest_psd
 from repro.utils.rng import SeedLike, as_generator
 
@@ -129,8 +129,7 @@ def adhoc_taper_grid_model(
     """
     model = GridModel(bounds, cells_x, cells_y, np.eye(cells_x * cells_y))
     centers = model.cell_centers()
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = pairwise_distances(centers, centers)
     corr = np.clip(1.0 - dist / correlation_distance, 0.0, None)
     return GridModel(bounds, cells_x, cells_y, corr)
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import CovarianceKernel
+from repro.core.kernels import CovarianceKernel, pairwise_distances
 from repro.utils.linalg import cholesky_with_jitter
 from repro.utils.rng import SeedLike, as_generator
 
@@ -182,10 +182,8 @@ class RandomField:
         stds[stds == 0.0] = 1.0  # repro-lint: disable=REPRO-FLOAT001
         centered = centered / stds
         corr = (centered.T @ centered) / len(samples)
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
         iu = np.triu_indices(len(points), k=1)
-        dist_flat = dist[iu]
+        dist_flat = pairwise_distances(points, points)[iu]
         corr_flat = corr[iu]
         edges = np.linspace(0.0, float(dist_flat.max()) + 1e-12, num_bins + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])

@@ -13,7 +13,9 @@ fine meshes — but a Krylov/randomized eigensolver only ever needs
 exactly that product by *assembling tiles on the fly*: a block of rows
 of the kernel Gram matrix is evaluated, multiplied into the (weighted)
 operand, and discarded, so peak memory is one tile plus the operand
-instead of the full n × n matrix.
+instead of the full n × n matrix.  The tiles come from
+:func:`repro.core.kernels.gram_row_tiles`, the loop every Galerkin
+assembly runs on.
 
 For meshes small enough that dense assembly is cheaper than repeated
 kernel evaluation, :class:`DenseKernelOperator` wraps the assembled
@@ -28,7 +30,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernels import CovarianceKernel
+from repro.core.galerkin import assemble_galerkin_matrix
+from repro.core.kernels import (
+    DEFAULT_TILE_BYTES,
+    KERNEL_EVAL_TEMP_DOUBLES,
+    CovarianceKernel,
+    gram_row_tiles,
+    gram_tile_rows,
+)
 from repro.core.quadrature import CENTROID_RULE, TriangleRule, get_rule
 from repro.mesh.mesh import TriangleMesh
 
@@ -36,15 +45,6 @@ from repro.mesh.mesh import TriangleMesh
 #: the dense operator (one assembly beats ~5 tiled passes there, and the
 #: n² footprint is still tiny).
 DENSE_OPERATOR_THRESHOLD = 2048
-
-#: Default per-tile byte budget of the on-the-fly Gram evaluation.
-DEFAULT_TILE_BYTES = 64 * 1024 * 1024
-
-#: Kernel evaluation of a (rows, cols) tile allocates the point-pair
-#: difference array (2 doubles per entry) plus distance/value
-#: temporaries; 6 doubles per entry upper-bounds every kernel family in
-#: :mod:`repro.core.kernels`.
-KERNEL_EVAL_TEMP_DOUBLES = 6
 
 
 class KernelOperator(abc.ABC):
@@ -122,30 +122,19 @@ class TiledKernelOperator(KernelOperator):
     ) -> None:
         if mesh.num_triangles == 0:
             raise ValueError("cannot build a kernel operator on an empty mesh")
-        if max_tile_bytes < 1:
-            raise ValueError(
-                f"max_tile_bytes must be >= 1, got {max_tile_bytes}"
-            )
         self.kernel = kernel
         self.mesh = mesh
         self.rule = get_rule(rule) if isinstance(rule, str) else rule
         self.max_tile_bytes = int(max_tile_bytes)
-        points, weights = self.rule.points_on_mesh(mesh)
-        self._points = points
-        self._weights = weights
-        self._num_nodes = points.shape[0]
+        self._points, self._weights = self.rule.points_on_mesh(mesh)
+        #: Quadrature-node rows evaluated per tile under the byte budget.
+        self.tile_rows = gram_tile_rows(len(self._points), self.max_tile_bytes)
 
     @property
     def shape(self) -> Tuple[int, int]:
         """``(n, n)`` with ``n`` the mesh triangle count."""
         n = self.mesh.num_triangles
         return (n, n)
-
-    @property
-    def tile_rows(self) -> int:
-        """Quadrature-node rows evaluated per tile under the byte budget."""
-        per_row = 8 * self._num_nodes * KERNEL_EVAL_TEMP_DOUBLES
-        return max(1, min(self._num_nodes, self.max_tile_bytes // per_row))
 
     def matmat(self, block: np.ndarray) -> np.ndarray:
         """Tiled ``K @ block``: one pass over the kernel Gram rows."""
@@ -155,12 +144,10 @@ class TiledKernelOperator(KernelOperator):
         weights = self._weights
         operand = np.repeat(arr, q, axis=0)
         operand *= weights[:, None]
-        accumulated = np.empty((self._num_nodes, k), dtype=float)
-        tile = self.tile_rows
-        points = self._points
-        for start in range(0, self._num_nodes, tile):
-            stop = min(start + tile, self._num_nodes)
-            gram = self.kernel(points[start:stop, None, :], points[None, :, :])
+        accumulated = np.empty((len(weights), k), dtype=float)
+        for start, stop, gram in gram_row_tiles(
+            self.kernel, self._points, self.max_tile_bytes
+        ):
             np.matmul(gram, operand, out=accumulated[start:stop])
         accumulated *= weights[:, None]
         if q == 1:
@@ -171,7 +158,7 @@ class TiledKernelOperator(KernelOperator):
         """Working set of one pass: tile temporaries + operand + result."""
         if num_vectors < 1:
             raise ValueError(f"num_vectors must be >= 1, got {num_vectors}")
-        nodes = self._num_nodes
+        nodes = len(self._points)
         tile_bytes = 8 * self.tile_rows * nodes * KERNEL_EVAL_TEMP_DOUBLES
         vector_bytes = 8 * num_vectors * (2 * nodes + self.shape[0])
         return tile_bytes + vector_bytes + 8 * 2 * nodes
@@ -212,8 +199,6 @@ class DenseKernelOperator(KernelOperator):
     def matrix(self) -> np.ndarray:
         """The assembled Galerkin matrix (built on first access)."""
         if self._matrix is None:
-            from repro.core.galerkin import assemble_galerkin_matrix
-
             self._matrix = assemble_galerkin_matrix(
                 self.kernel, self.mesh, rule=self.rule
             )
@@ -236,25 +221,17 @@ def make_kernel_operator(
     mesh: TriangleMesh,
     *,
     rule: Union[str, TriangleRule] = CENTROID_RULE,
-    dense_threshold: int = DENSE_OPERATOR_THRESHOLD,
-    max_tile_bytes: int = DEFAULT_TILE_BYTES,
 ) -> KernelOperator:
     """Pick the right operator implementation for a mesh size.
 
-    At or below ``dense_threshold`` triangles the dense operator wins
-    (one assembly, BLAS-speed applications); above it the tiled
-    matrix-free operator keeps peak memory bounded by
-    ``max_tile_bytes`` per Gram tile regardless of ``n``.
+    At or below :data:`DENSE_OPERATOR_THRESHOLD` triangles the dense
+    operator wins (one assembly, BLAS-speed applications); above it the
+    tiled matrix-free operator keeps peak memory bounded by one Gram tile
+    of :data:`~repro.core.kernels.DEFAULT_TILE_BYTES` regardless of ``n``.
     """
-    if dense_threshold < 0:
-        raise ValueError(
-            f"dense_threshold must be >= 0, got {dense_threshold}"
-        )
-    if mesh.num_triangles <= dense_threshold:
+    if mesh.num_triangles <= DENSE_OPERATOR_THRESHOLD:
         return DenseKernelOperator(kernel, mesh, rule=rule)
-    return TiledKernelOperator(
-        kernel, mesh, rule=rule, max_tile_bytes=max_tile_bytes
-    )
+    return TiledKernelOperator(kernel, mesh, rule=rule)
 
 
 def dense_solve_bytes(num_triangles: int) -> int:

@@ -1,7 +1,9 @@
 """Randomized range-finder eigensolver for the Galerkin KLE problem.
 
 Solves the generalized eigenproblem ``K d = λ Φ d`` (paper eq. (13))
-for the ``m`` *leading* pairs only, without ever materializing ``K``:
+for the ``m`` *leading* pairs only, touching ``K`` through operator
+passes alone (above :data:`~repro.solvers.operator.DENSE_OPERATOR_THRESHOLD`
+triangles those passes evaluate Gram tiles and never materialize ``K``):
 
 1.  Whiten: with ``Φ = diag(a_i)`` the similarity transform
     ``A = Φ^{-1/2} K Φ^{-1/2}`` yields a symmetric standard problem
@@ -42,8 +44,6 @@ from repro.core.kle import KLEResult
 from repro.core.quadrature import CENTROID_RULE, TriangleRule
 from repro.mesh.mesh import TriangleMesh
 from repro.solvers.operator import (
-    DEFAULT_TILE_BYTES,
-    DENSE_OPERATOR_THRESHOLD,
     KernelOperator,
     dense_solve_bytes,
     make_kernel_operator,
@@ -205,25 +205,22 @@ def solve_randomized_kle(
     oversampling: int = DEFAULT_OVERSAMPLING,
     power_iterations: int = DEFAULT_POWER_ITERATIONS,
     seed: int = 0,
-    dense_threshold: int = DENSE_OPERATOR_THRESHOLD,
-    max_tile_bytes: int = DEFAULT_TILE_BYTES,
 ) -> Tuple[KLEResult, RandomizedSolveReport]:
     """One-call randomized KLE: operator selection + sketch + packaging.
 
     The matrix-free entry point behind
-    ``solve_kle(..., method="randomized")``: builds the right
-    :class:`~repro.solvers.operator.KernelOperator` for the mesh size
-    (dense at or below ``dense_threshold`` triangles, tiled above) and
-    returns the packaged :class:`~repro.core.kle.KLEResult` along with
-    the solve's :class:`RandomizedSolveReport`.
+    ``solve_kle(..., method="randomized")``: builds the
+    :class:`~repro.solvers.operator.KernelOperator` that
+    :func:`~repro.solvers.operator.make_kernel_operator` picks for the
+    mesh size (dense at or below
+    :data:`~repro.solvers.operator.DENSE_OPERATOR_THRESHOLD` triangles,
+    tiled above) and returns the packaged
+    :class:`~repro.core.kle.KLEResult` along with the solve's
+    :class:`RandomizedSolveReport`.  To solve on an operator of your own
+    (a tiled one on a small mesh, another tile budget), call
+    :func:`randomized_generalized_eigh` with it.
     """
-    operator = make_kernel_operator(
-        kernel,
-        mesh,
-        rule=rule,
-        dense_threshold=dense_threshold,
-        max_tile_bytes=max_tile_bytes,
-    )
+    operator = make_kernel_operator(kernel, mesh, rule=rule)
     eigvals, d_vectors, report = randomized_generalized_eigh(
         operator,
         mesh.areas,

@@ -17,6 +17,8 @@ from repro.core.kernels import (
     SeparableExponentialKernel,
     SphericalKernel,
     SumKernel,
+    gram_row_tiles,
+    gram_tile_rows,
     pairwise_distances,
 )
 
@@ -327,6 +329,26 @@ def test_pairwise_distances_bitwise_equal_to_the_difference_tensor(m, k, scale):
         diff = a[:, None, :] - b[None, :, :]
         expected = np.sqrt(np.sum(diff * diff, axis=-1))
         assert np.array_equal(pairwise_distances(a, b), expected)
+
+
+def test_gram_row_tiles_cover_the_matrix_in_order():
+    """Tiles of ``gram_tile_rows`` rows stack to the whole Gram matrix,
+    bit for bit, whatever the budget."""
+    points = np.random.default_rng(5).uniform(-1, 1, (37, 2))
+    kernel = GaussianKernel(2.0)
+    whole = kernel.matrix(points, points)
+    for budget, rows in ((1, 1), (8 * 37 * 6 * 5, 5), (1 << 30, 37)):
+        assert gram_tile_rows(37, budget) == rows
+        tiles = list(gram_row_tiles(kernel, points, budget))
+        bounds = [(start, stop) for start, stop, _ in tiles]
+        expected = [(a, min(a + rows, 37)) for a in range(0, 37, rows)]
+        assert bounds == expected
+        assert np.array_equal(np.vstack([tile for *_, tile in tiles]), whole)
+    with pytest.raises(ValueError, match="max_tile_bytes"):
+        next(gram_row_tiles(kernel, points, 0))
+    # The default 64 MiB at 6 doubles an entry: the paper mesh's 1,580
+    # centroids make two tiles.
+    assert gram_tile_rows(1580) == 884
 
 
 @given(points, points)

@@ -16,6 +16,7 @@ from repro.core.kernels import GaussianKernel
 from repro.mesh.structured import structured_rectangle_mesh
 from repro.solvers import (
     RandomizedSolveReport,
+    TiledKernelOperator,
     make_kernel_operator,
     randomized_generalized_eigh,
     solve_randomized_kle,
@@ -121,14 +122,14 @@ def test_report_describes_the_solve(mesh, randomized):
 
 
 def test_forced_tiled_operator_agrees_with_dense_operator(mesh):
-    via_tiled, tiled_report = solve_randomized_kle(
-        KERNEL, mesh, NUM_PAIRS, seed=0, dense_threshold=0
+    tiled_values, _, tiled_report = randomized_generalized_eigh(
+        TiledKernelOperator(KERNEL, mesh), mesh.areas, NUM_PAIRS, seed=0
     )
     via_dense, dense_report = solve_randomized_kle(KERNEL, mesh, NUM_PAIRS, seed=0)
     assert tiled_report.operator_kind == "tiled"
     assert dense_report.operator_kind == "dense"
     np.testing.assert_allclose(
-        via_tiled.eigenvalues, via_dense.eigenvalues, rtol=1e-10
+        tiled_values, via_dense.eigenvalues, rtol=1e-10
     )
 
 
