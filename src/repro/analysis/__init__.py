@@ -8,10 +8,8 @@ Two cooperating pieces:
   discipline, cache immutability, float-comparison hygiene, exception
   hygiene, cache-key purity and hot-loop allocation churn, backed by
   the whole-program determinism provers (:mod:`repro.analysis.seedflow`
-  seed-flow taint, :mod:`repro.analysis.cachekey` cache-key
-  completeness, :mod:`repro.analysis.locks` lock discipline and
-  :mod:`repro.analysis.concurrency` process-pool safety) over one
-  shared :class:`~repro.analysis.project.ProjectModel`.
+  seed-flow taint and :mod:`repro.analysis.locks` lock discipline) over
+  one shared :class:`~repro.analysis.project.ProjectModel`.
 
 Run the whole gate with ``python -m repro.analysis`` (see
 :mod:`repro.analysis.cli`); CI's ``static-analysis`` job does exactly
@@ -45,11 +43,8 @@ from repro.analysis.engine import (
 )
 
 # Importing the rules module registers every per-file project rule;
-# importing concurrency/seedflow/cachekey/locks registers the
-# whole-program check ids.
+# importing seedflow/locks registers the whole-program check ids.
 from repro.analysis import rules as rules  # noqa: F401
-from repro.analysis.cachekey import KEY_RULE_ID, check_cache_keys
-from repro.analysis.concurrency import GLOBAL_RULE_ID, check_concurrency
 from repro.analysis.locks import (
     GUARD_RULE_ID,
     ORDER_RULE_ID,
@@ -76,10 +71,8 @@ __all__ = [
     "FileContext",
     "FileReport",
     "FunctionInfo",
-    "GLOBAL_RULE_ID",
     "GUARD_RULE_ID",
     "GateReport",
-    "KEY_RULE_ID",
     "LINT_RULE_ID",
     "ModuleInfo",
     "ORDER_RULE_ID",
@@ -96,8 +89,6 @@ __all__ = [
     "analyze_project_paths",
     "analyze_source",
     "analyze_source_report",
-    "check_cache_keys",
-    "check_concurrency",
     "check_lock_discipline",
     "check_seed_flow",
     "format_human",

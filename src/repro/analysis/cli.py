@@ -1,11 +1,11 @@
 """``python -m repro.analysis`` — the repo's static-analysis gate.
 
 Runs the per-file lint rules *and* the whole-program analyses (project
-model + concurrency safety + seed-flow taint + cache-key completeness
-+ lock discipline + stale suppressions) over the given paths (default:
-``src/repro``), cold, in one pass per file.  The native kernel's C
-prototype is checked against its ctypes table by a tier-1 test
-(``tests/timing/test_kernel_contract.py``), not here.  Exit status:
+model + seed-flow taint + lock discipline + stale suppressions) over
+the given paths (default: ``src/repro``), cold, in one pass per file.
+The native kernel's C prototype is checked against its ctypes table by
+a tier-1 test (``tests/timing/test_kernel_contract.py``), not here.
+Exit status:
 
 - ``0`` — no violations;
 - ``1`` — at least one violation;
@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-project",
         action="store_true",
         help=(
-            "skip the whole-program analyses (concurrency, seed flow, "
-            "cache keys, locks, stale suppressions); per-file rules only"
+            "skip the whole-program analyses (seed flow, locks, stale "
+            "suppressions); per-file rules only"
         ),
     )
     return parser

@@ -1,8 +1,7 @@
 """Gate orchestrator: per-file rules + whole-program checks, one verdict.
 
 The per-file engine (:mod:`repro.analysis.engine`) and the
-whole-program analyses (:mod:`repro.analysis.concurrency`,
-:mod:`repro.analysis.seedflow`, :mod:`repro.analysis.cachekey`,
+whole-program analyses (:mod:`repro.analysis.seedflow`,
 :mod:`repro.analysis.locks`) each produce raw findings; this module
 runs them all over one set of paths, applies every file's suppression
 table uniformly to both kinds, runs the stale-suppression check
@@ -23,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 
-from repro.analysis.cachekey import check_cache_keys
-from repro.analysis.concurrency import check_concurrency
 from repro.analysis.locks import check_lock_discipline
 from repro.analysis.seedflow import check_seed_flow
 from repro.analysis.engine import (
@@ -108,12 +105,7 @@ def _chain_suppressed(
 
 def _project_findings(model: ProjectModel) -> List[Violation]:
     """Raw findings of every whole-program pass, pre-suppression."""
-    findings: List[Violation] = []
-    findings.extend(check_concurrency(model))
-    findings.extend(check_seed_flow(model))
-    findings.extend(check_cache_keys(model))
-    findings.extend(check_lock_discipline(model))
-    return sorted(findings)
+    return sorted(check_seed_flow(model) + check_lock_discipline(model))
 
 
 def analyze_project_paths(
@@ -126,10 +118,9 @@ def analyze_project_paths(
     """Run the full static-analysis gate over ``paths``.
 
     Per-file rules run through the engine; with ``project`` true (the
-    default) the whole-program checks — REPRO-PAR001 concurrency
-    safety, REPRO-SEED001/002 seed-flow taint, REPRO-KEY001 cache-key
-    completeness, REPRO-LOCK001/002 lock discipline, and the
-    REPRO-LINT001 stale-suppression audit — run over a
+    default) the whole-program checks — REPRO-SEED001/002 seed-flow
+    taint, REPRO-LOCK001/002 lock discipline, and the REPRO-LINT001
+    stale-suppression audit — run over a
     :class:`ProjectModel` built from the same parsed files.
     Whole-program findings honor the same ``# repro-lint:`` suppression
     directives as per-file ones, at the primary line or any line of the

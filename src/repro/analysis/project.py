@@ -1,12 +1,11 @@
 """Whole-program project model: modules, symbols, and call resolution.
 
 The per-file rule engine (:mod:`repro.analysis.engine`) sees one AST at
-a time, so it cannot answer the questions the repo's process-pool
-fan-out, seed threading and locking raise: *which* function does
+a time, so it cannot answer the questions the repo's worker fan-out,
+seed threading and locking raise: *which* function does
 ``pool.submit`` actually run, and where does a seed passed three
 helpers deep come from?  This module builds the shared whole-program
-substrate those analyses (:mod:`repro.analysis.concurrency`,
-:mod:`repro.analysis.seedflow`, :mod:`repro.analysis.cachekey`,
+substrate those analyses (:mod:`repro.analysis.seedflow`,
 :mod:`repro.analysis.locks`) reason over:
 
 - a **module table** mapping dotted module names to parsed sources,
@@ -22,8 +21,7 @@ substrate those analyses (:mod:`repro.analysis.concurrency`,
   ``ClassName(...)`` construction;
 - the **fan-out roots** (:attr:`ProjectModel.submit_roots`): every
   ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` site resolved to the
-  project function it runs, found once per model for the concurrency
-  and lock passes.
+  project function it runs, found once per model for the lock pass.
 
 The model is purely syntactic — nothing is imported or executed — so it
 can be built for arbitrary analysis targets (``src/repro`` as well as
@@ -118,8 +116,6 @@ class ModuleInfo:
     functions: Dict[str, str] = field(default_factory=dict)
     #: bare top-level class name → fully qualified name.
     classes: Dict[str, str] = field(default_factory=dict)
-    #: top-level assigned name → its (last) value expression.
-    module_assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -132,13 +128,9 @@ class SubmitRoot:
     path: str
 
 
-#: Executor classes whose ``submit``/``map`` we treat as fan-out points.
-_EXECUTOR_CLASS_SUFFIXES = (
-    "ProcessPoolExecutor",
-    "ThreadPoolExecutor",
-    "Executor",
-    "Pool",
-)
+#: Class-name suffixes of executors whose ``submit``/``map`` we treat as
+#: fan-out points (``ThreadPoolExecutor``, ``multiprocessing.Pool``, ...).
+_EXECUTOR_CLASS_SUFFIXES = ("Executor", "Pool")
 
 
 def _module_name_for(root: Path, file: Path, package: Optional[str]) -> str:
@@ -263,13 +255,6 @@ class ProjectModel:
                     if top_level:
                         module.classes[child.name] = qual
                     visit(child, qual, qual, None, False)
-                elif top_level and isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        if isinstance(target, ast.Name):
-                            module.module_assigns[target.id] = child.value
-                elif top_level and isinstance(child, ast.AnnAssign):
-                    if isinstance(child.target, ast.Name) and child.value:
-                        module.module_assigns[child.target.id] = child.value
 
         visit(module.tree, module.name, None, None, True)
 

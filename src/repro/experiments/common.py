@@ -225,10 +225,10 @@ def get_context() -> ExperimentContext:
     """The process-wide shared context (used by the benches)."""
     global _GLOBAL_CONTEXT
     if _GLOBAL_CONTEXT is None:
-        # Per-process memo: each table1 worker builds its own context
-        # (fed by the shared *disk* caches), and no result ever reads
-        # this binding back from another process.
-        _GLOBAL_CONTEXT = ExperimentContext()  # repro-lint: disable=REPRO-PAR001
+        # Per-process memo: each process builds its own context (fed by
+        # the shared *disk* caches), and no result ever reads this
+        # binding back from another process.
+        _GLOBAL_CONTEXT = ExperimentContext()
     return _GLOBAL_CONTEXT
 
 

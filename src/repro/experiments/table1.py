@@ -8,17 +8,15 @@ The default circuit list stops at s15850 (9 772 gates); the three largest
 circuits need a multi-gigabyte reference covariance and are enabled with
 ``REPRO_FULL=1`` (see DESIGN.md §4, substitution 7).
 
-Rows are independent experiments, so :func:`run_table1` can fan them out
-over worker processes (``parallel=``).  Workers share the on-disk artifact
-caches — the KLE eigensolve, per-circuit placements and the native STA
-kernel build — so each expensive setup is paid once across the pool.
+Rows are independent experiments that share the on-disk artifact caches
+— the KLE eigensolve, per-circuit placements and the native STA kernel
+build — so each expensive setup is paid once; :func:`run_table1` runs
+them one after another.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.circuit.benchmarks import benchmark_names, get_spec
 from repro.experiments.common import (
@@ -80,45 +78,27 @@ def run_table1(
     r: Optional[int] = 25,
     engine: Optional[str] = None,
     chunk_size: Optional[int] = None,
-    parallel: Union[None, bool, int] = None,
 ) -> List[SSTAComparison]:
-    """Regenerate Table 1 (or a subset of its rows).
+    """Regenerate Table 1 (or a subset of its rows), in input order.
 
-    ``parallel`` fans the independent per-circuit rows out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`: ``True`` uses one
-    worker per CPU, an integer caps the worker count, and ``None``/``1``
-    keeps the serial path.  Results are identical to a serial run (each
-    row seeds its own random streams from ``seed``) and arrive in input
-    order.
+    Each row seeds its own random streams from ``seed``, so a row is the
+    same whichever other circuits run with it.
     """
     if circuits is None:
         circuits = default_table1_circuits()
     for name in circuits:
         get_spec(name)  # fail fast on typos
-    row_kwargs = dict(
-        num_samples=num_samples,
-        seed=seed,
-        r=r,
-        engine=engine,
-        chunk_size=chunk_size,
-    )
-    if parallel is True:
-        workers = os.cpu_count() or 1
-    elif parallel is None or parallel is False:
-        workers = 1
-    else:
-        workers = int(parallel)
-        if workers < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
-    workers = min(workers, len(circuits)) if circuits else 1
-    if workers <= 1:
-        return [run_table1_row(name, **row_kwargs) for name in circuits]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_table1_row, name, **row_kwargs)
-            for name in circuits
-        ]
-        return [future.result() for future in futures]
+    return [
+        run_table1_row(
+            name,
+            num_samples=num_samples,
+            seed=seed,
+            r=r,
+            engine=engine,
+            chunk_size=chunk_size,
+        )
+        for name in circuits
+    ]
 
 
 def format_table1(rows: Sequence[SSTAComparison]) -> str:

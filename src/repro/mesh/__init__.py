@@ -24,7 +24,6 @@ from repro.mesh.structured import (
     structured_rectangle_mesh,
 )
 from repro.mesh.locate import TriangleLocator
-from repro.mesh.quadtree import QuadtreeLocator
 from repro.mesh.io import (
     load_mesh_npz,
     load_mesh_triangle_format,
@@ -46,7 +45,6 @@ __all__ = [
     "structured_mesh_with_triangle_count",
     "structured_rectangle_mesh",
     "TriangleLocator",
-    "QuadtreeLocator",
     "load_mesh_npz",
     "load_mesh_triangle_format",
     "save_mesh_npz",

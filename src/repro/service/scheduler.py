@@ -45,8 +45,8 @@ class _QueueEntry:
 def _run_worker(scheduler: "Scheduler", index: int) -> None:
     """Worker-thread entry point: serve batches until the scheduler stops.
 
-    Module-level by design so the project concurrency gate
-    (REPRO-PAR001/002) resolves the ``pool.submit`` root and walks the
+    Module-level by design so the lock-discipline gate
+    (REPRO-LOCK001/002) resolves the ``pool.submit`` root and walks the
     whole serving call graph from here.
     """
     scheduler.serve_forever(index)

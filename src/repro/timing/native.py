@@ -117,7 +117,8 @@ _PTHREAD_PROBE = (
 )
 
 _cached: Optional[object] = None
-_cached_key: Optional[str] = None
+#: The effective compiler flags :data:`_cached` was loaded under.
+_cached_key: Optional[Tuple[str, ...]] = None
 _compiler_identity_cache: Optional[str] = None
 _thread_backend_cache: Optional[str] = None
 
@@ -258,8 +259,8 @@ def thread_backend() -> str:
         else:
             backend = "none"
         # Per-process memo: the toolchain cannot change mid-process, and
-        # each pool worker probing cc once is the intended behavior.
-        _thread_backend_cache = backend  # repro-lint: disable=REPRO-PAR001
+        # each process probing cc once is the intended behavior.
+        _thread_backend_cache = backend
     return _thread_backend_cache
 
 
@@ -309,8 +310,8 @@ def _compiler_identity() -> str:
         except (OSError, subprocess.SubprocessError, ValueError):
             identity = "no-cc"
         # Per-process memo: the toolchain cannot change mid-process, and
-        # each pool worker probing cc once is the intended behavior.
-        _compiler_identity_cache = identity  # repro-lint: disable=REPRO-PAR001
+        # each process probing cc once is the intended behavior.
+        _compiler_identity_cache = identity
     return _compiler_identity_cache
 
 
@@ -679,8 +680,11 @@ def load_kernel() -> Optional[object]:
 
     The compiled shared object is cached per source/flag hash under the
     artifact cache directory; builds are atomic (compile to a temp file,
-    then ``os.replace``) so concurrent processes — e.g. ``table1``
-    workers — never load a half-written library.
+    then ``os.replace``) so concurrent processes — bench workers or CI
+    jobs sharing ``REPRO_CACHE_DIR`` — never load a half-written library.
+    The loaded function is memoized per process on the effective flags:
+    the source is read and hashed once, and again only when
+    ``REPRO_SANITIZE`` or a thread-backend pin changes the flags.
     """
     global _cached, _cached_key
     if os.environ.get("REPRO_NO_NATIVE"):
@@ -688,14 +692,14 @@ def load_kernel() -> Optional[object]:
     # A malformed REPRO_SANITIZE or thread-backend pin raises here,
     # before any fallback logic: silently running the wrong kernel
     # because of a typo would invalidate what the run claims to prove.
-    cflags = _effective_cflags()
+    cflags = tuple(_effective_cflags())
+    if _cached is not None and _cached_key == cflags:
+        return _cached
     try:
         source = _SOURCE.read_bytes()
     except OSError:
         return None
     key = _build_key(source, cflags)
-    if _cached is not None and _cached_key == key:
-        return _cached
 
     lib_path = _cache_dir() / "native" / f"sta_kernel_{key}.so"
     if not lib_path.exists():
@@ -729,8 +733,8 @@ def load_kernel() -> Optional[object]:
         return None
     fn.argtypes = kernel_argtypes()
     fn.restype = KERNEL_RESTYPE
-    # Per-process memo of the loaded ctypes function: workers each
-    # dlopen the (disk-shared) .so once; nothing reads this across
+    # Per-process memo of the loaded ctypes function: each process
+    # dlopens the (disk-shared) .so once; nothing reads this across
     # processes.
-    _cached, _cached_key = fn, key  # repro-lint: disable=REPRO-PAR001
+    _cached, _cached_key = fn, cflags
     return _cached

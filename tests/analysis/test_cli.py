@@ -105,7 +105,6 @@ def test_list_rules_prints_catalog(capsys):
         "REPRO-PERF001",
         "REPRO-SEED001",
         "REPRO-SEED002",
-        "REPRO-KEY001",
         "REPRO-LOCK001",
         "REPRO-LOCK002",
     ):
@@ -154,11 +153,13 @@ def test_list_rules_includes_project_checks(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "REPRO-PAR001",
+        "REPRO-LOCK001",
         "REPRO-LINT001",
     ):
         assert rule_id in out
-    assert "REPRO-PAR002" not in out  # retired: RNG001/SEED001 cover it
+    # Retired whole-program checks.
+    for rule_id in ("REPRO-PAR001", "REPRO-PAR002", "REPRO-KEY001"):
+        assert rule_id not in out
 
 
 def test_explain_covers_every_registered_rule(capsys):

@@ -40,6 +40,19 @@ def test_sanctioned_shapes_stay_clean():
     assert _gate("seed_good.py") == []
 
 
+def test_rng_reached_directly_and_through_helpers():
+    # Unseeded RNG under a pool needs no reachability analysis: the
+    # per-file REPRO-RNG001 flags the legacy call inside the helper and
+    # the whole-program REPRO-SEED001 the seedless default_rng(), and
+    # the full catalog reports nothing else.
+    report = analyze_project_paths([FIXTURES / "seed_bad_pool_workers.py"])
+    found = [(v.rule_id, v.line) for v in report.violations]
+    assert found == [("REPRO-RNG001", 15), ("REPRO-SEED001", 23)]
+    messages = {v.line: v.message for v in report.violations}
+    assert "randn" in messages[15]
+    assert "default_rng() without a seed" in messages[23]
+
+
 def test_live_tree_is_clean_and_scope_covers_all_packages(
     src_repro_gate, src_repro_model
 ):

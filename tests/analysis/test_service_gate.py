@@ -1,9 +1,10 @@
 """The analysis gate applied to the service layer specifically.
 
 ``repro.service`` is the library's most concurrency-heavy package, so it
-must not just be violation-free under the full gate — the concurrency
-analysis (REPRO-PAR001) must actually *see* its worker fan-out.  The scheduler submits a module-level entry point precisely so
-the submit-root finder resolves it; these tests pin that contract so a
+must not just be violation-free under the full gate — the lock-discipline
+analysis (REPRO-LOCK001/002) must actually *see* its worker fan-out.
+The scheduler submits a module-level entry point precisely so the
+submit-root finder resolves it; these tests pin that contract so a
 refactor to an unanalyzable fan-out (lambda, bound method on an opaque
 receiver) fails loudly instead of silently shrinking gate coverage.
 """
@@ -12,7 +13,6 @@ from pathlib import Path
 
 import repro
 from repro.analysis import analyze_project_paths
-from repro.analysis.concurrency import check_concurrency
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 SERVICE_DIR = SRC_REPRO / "service"
@@ -24,19 +24,9 @@ def test_scheduler_fan_out_is_a_visible_submit_root(src_repro_model):
     roots = {root.qualname for root in src_repro_model.submit_roots}
     assert WORKER_ROOT in roots, (
         "the scheduler's pool.submit(_run_worker, ...) is no longer "
-        "resolvable by REPRO-PAR001; keep the worker entry point "
+        "resolvable by REPRO-LOCK001/002; keep the worker entry point "
         f"module-level (found roots: {sorted(roots)})"
     )
-
-
-def test_worker_call_graph_is_concurrency_clean(src_repro_model):
-    found = [
-        violation
-        for violation in check_concurrency(src_repro_model)
-        if "service" in str(violation.path)
-    ]
-    rendered = "\n".join(v.format() for v in found)
-    assert not found, f"concurrency violations in repro.service:\n{rendered}"
 
 
 def test_service_package_is_file_level_clean(src_repro_gate):

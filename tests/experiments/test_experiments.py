@@ -113,23 +113,6 @@ def test_format_table1_layout():
     assert len(text.splitlines()) == 3
 
 
-def test_run_table1_parallel_matches_serial():
-    serial = run_table1(circuits=["c880"], num_samples=60, seed=0, r=10)
-    parallel = run_table1(
-        circuits=["c880"], num_samples=60, seed=0, r=10, parallel=2
-    )
-    assert parallel[0].reference_mean == serial[0].reference_mean
-    assert parallel[0].kle_std == serial[0].kle_std
-    assert parallel[0].circuit == "c880"
-
-
-def test_run_table1_parallel_validation():
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="parallel must be"):
-        run_table1(circuits=["c880"], num_samples=10, parallel=0)
-
-
 def test_default_engine_env(monkeypatch):
     from repro.experiments.common import default_engine
 

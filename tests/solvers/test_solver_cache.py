@@ -74,21 +74,28 @@ def test_every_randomized_parameter_is_in_the_key(mesh):
     assert len(set(changed.values())) == len(changed)
 
 
+#: One changed value per parameter that ``solve_kle`` folds into its key.
+CHANGED_PARAMETERS = [
+    ("solver_seed", 1),
+    ("oversampling", 9),
+    ("power_iterations", 3),
+    ("num_eigenpairs", RANK + 1),
+    ("rule", "three_point"),
+    ("method", "dense"),
+]
+
+
 @pytest.mark.parametrize(
     "parameter, value",
-    [("solver_seed", 1), ("oversampling", 9), ("power_iterations", 3)],
-    ids=["solver_seed", "oversampling", "power_iterations"],
+    CHANGED_PARAMETERS,
+    ids=[parameter for parameter, _ in CHANGED_PARAMETERS],
 )
 def test_changed_parameter_misses_the_cache(mesh, cache, parameter, value):
-    """Each sketch parameter reaches the key through ``solve_kle`` itself:
-    a second solve with one of them off its default must not hit."""
-    solve_kle(
-        KERNEL, mesh, num_eigenpairs=RANK, method="randomized", cache=cache
-    )
-    solve_kle(
-        KERNEL, mesh, num_eigenpairs=RANK, method="randomized", cache=cache,
-        **{parameter: value},
-    )
+    """Each parameter of the solve reaches the key through ``solve_kle``
+    itself: a second solve with one of them changed must not hit."""
+    base = dict(num_eigenpairs=RANK, method="randomized", cache=cache)
+    solve_kle(KERNEL, mesh, **base)
+    solve_kle(KERNEL, mesh, **{**base, parameter: value})
     assert cache.stats.hits == 0
     assert cache.stats.stores == 2
 

@@ -1,5 +1,6 @@
 """Tests for the sanitizer build mode and portable cache keys."""
 
+import ctypes
 import shutil
 
 import pytest
@@ -70,6 +71,42 @@ def test_compiler_identity_is_part_of_the_key(monkeypatch):
     monkeypatch.setattr(native, "_compiler_identity_cache", "cc two")
     key_two = native._build_key(b"source", native._CFLAGS)
     assert key_one != key_two
+
+
+def test_source_bytes_are_part_of_the_key():
+    key_one = native._build_key(b"source one", native._CFLAGS)
+    key_two = native._build_key(b"source two", native._CFLAGS)
+    assert key_one != key_two
+
+
+def test_memo_reloads_when_the_flags_change(monkeypatch, tmp_path):
+    """``load_kernel`` reads its source once per flag set, not once ever.
+
+    A fake ``CDLL`` stands in for the built libraries, so no C compiler
+    is needed; each fake kernel remembers the library it came from.
+    """
+
+    class FakeKernel:
+        def __init__(self, path):
+            self.path = path
+
+    class FakeLibrary:
+        def __init__(self, path):
+            setattr(self, native.KERNEL_FUNCTION, FakeKernel(path))
+
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibrary)
+    (tmp_path / "native").mkdir()
+    for mode in ("", "ubsan"):
+        monkeypatch.setenv("REPRO_SANITIZE", mode)
+        library = tmp_path / "native" / (
+            f"sta_kernel_{native.kernel_build_info()['key']}.so"
+        )
+        library.touch()
+        fn = native.load_kernel()
+        assert fn.path == str(library)
+        assert native.load_kernel() is fn
 
 
 def test_compiler_identity_survives_a_missing_compiler(monkeypatch):
