@@ -394,23 +394,6 @@ class Resolver:
             return f"{imported}.{rest}" if rest else imported
         return None
 
-    def resolve_callable(self, expr: ast.expr) -> Optional[str]:
-        """Function qualname a callee expression invokes, or None.
-
-        Handles ``f`` (module function / imported function),
-        ``mod.sub.f`` (imported module attribute) and ``Class`` /
-        ``mod.Class`` construction (→ ``Class.__init__``).  ``self.m``
-        and local-variable receivers are resolved by the analyses,
-        which know the enclosing class and local bindings.
-        """
-        dotted = _dotted_name(expr)
-        if dotted is None:
-            return None
-        target = self.resolve_target(dotted)
-        if target is None:
-            return None
-        return self.model.lookup_callable(target)
-
     def resolve_class(self, expr: ast.expr) -> Optional[str]:
         """Project class qualname a constructor expression names, or None."""
         dotted = _dotted_name(expr)

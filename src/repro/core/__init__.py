@@ -55,9 +55,9 @@ from repro.core.quadrature import (
     get_rule,
 )
 from repro.core.galerkin import (
-    GalerkinKLE,
     assemble_galerkin_matrix,
     kle_cache_key,
+    kle_eigensolver,
     mesh_fingerprint,
     solve_kle,
 )
@@ -127,9 +127,9 @@ __all__ = [
     "SEVEN_POINT_RULE",
     "get_rule",
     # galerkin / kle
-    "GalerkinKLE",
     "assemble_galerkin_matrix",
     "kle_cache_key",
+    "kle_eigensolver",
     "mesh_fingerprint",
     "solve_kle",
     "LinearKLEResult",

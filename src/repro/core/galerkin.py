@@ -40,10 +40,11 @@ from repro.utils.linalg import symmetric_generalized_eigh
 #: entries when the solver's numerical behavior changes.
 KLE_CACHE_SCHEMA = "kle-eigensolve-v1"
 
-#: Eigensolver methods :func:`solve_kle` accepts (see
-#: :func:`repro.utils.linalg.symmetric_generalized_eigh` for the first
-#: two; ``"randomized"`` routes through :mod:`repro.solvers`).
-KLE_METHODS = ("dense", "arpack", "randomized")
+#: Largest mesh, in triangles, whose KLE :func:`solve_kle` solves with
+#: LAPACK on the assembled matrix (three n × n doubles, about 400 MB at
+#: this size; :func:`repro.solvers.dense_solve_bytes`).  Above it the
+#: randomized range finder of :mod:`repro.solvers` takes over.
+DENSE_KLE_MAX_TRIANGLES = 4096
 
 
 def assemble_galerkin_matrix(
@@ -94,116 +95,6 @@ def assemble_galerkin_matrix(
     return result
 
 
-class GalerkinKLE:
-    """End-to-end numerical KLE solver (the paper's core contribution).
-
-    Combines the three steps left open in §3.2: the piecewise-constant basis
-    on a triangulation, the quadrature evaluation of the Galerkin integrals,
-    and the (generalized) eigensolve.
-
-    Example
-    -------
-    >>> from repro.core import GaussianKernel, GalerkinKLE
-    >>> from repro.mesh import structured_rectangle_mesh
-    >>> mesh = structured_rectangle_mesh(-1, -1, 1, 1, 12, 12)
-    >>> kle = GalerkinKLE(GaussianKernel(c=1.4), mesh).solve(num_eigenpairs=25)
-    >>> kle.eigenvalues[0] > kle.eigenvalues[1] > 0
-    True
-    """
-
-    def __init__(
-        self,
-        kernel: CovarianceKernel,
-        mesh: TriangleMesh,
-        *,
-        rule: Union[str, TriangleRule] = CENTROID_RULE,
-    ):
-        self.kernel = kernel
-        self.mesh = mesh
-        self.rule = get_rule(rule) if isinstance(rule, str) else rule
-        self._galerkin_matrix: Optional[np.ndarray] = None
-
-    @property
-    def galerkin_matrix(self) -> np.ndarray:
-        """The assembled ``K`` matrix (cached after first use)."""
-        if self._galerkin_matrix is None:
-            self._galerkin_matrix = assemble_galerkin_matrix(
-                self.kernel, self.mesh, rule=self.rule
-            )
-        return self._galerkin_matrix
-
-    def solve(
-        self,
-        num_eigenpairs: Optional[int] = None,
-        *,
-        method: str = "dense",
-        oversampling: Optional[int] = None,
-        power_iterations: Optional[int] = None,
-        solver_seed: int = 0,
-    ) -> KLEResult:
-        """Solve ``K d = λ Φ d`` and package the leading eigenpairs.
-
-        Parameters
-        ----------
-        num_eigenpairs:
-            How many leading pairs to keep; ``None`` keeps all ``nt``.  The
-            paper computes the first 200 and then truncates to r = 25 via
-            :meth:`repro.core.kle.KLEResult.select_truncation`.
-        method:
-            ``"dense"`` (LAPACK, default), ``"arpack"`` (iterative
-            Lanczos, leading pairs only — equivalent to the Matlab
-            ``eigs`` the paper used), or ``"randomized"`` (sketched
-            solve via :mod:`repro.solvers`; above
-            :data:`~repro.solvers.DENSE_OPERATOR_THRESHOLD` triangles it
-            never assembles the n × n matrix, the only path that scales
-            to very fine meshes).
-        oversampling, power_iterations, solver_seed:
-            Randomized-method knobs (ignored otherwise): extra sketch
-            columns, subspace-refinement rounds and the
-            :func:`repro.utils.rng.spawn_seed_sequences` root seed that
-            makes the solve deterministic.
-        """
-        if method == "randomized":
-            from repro.solvers import (
-                DEFAULT_OVERSAMPLING,
-                DEFAULT_POWER_ITERATIONS,
-                solve_randomized_kle,
-            )
-
-            if num_eigenpairs is None:
-                raise ValueError(
-                    "method='randomized' requires an explicit num_eigenpairs"
-                )
-            result, _report = solve_randomized_kle(
-                self.kernel,
-                self.mesh,
-                int(num_eigenpairs),
-                rule=self.rule,
-                oversampling=(
-                    DEFAULT_OVERSAMPLING if oversampling is None
-                    else int(oversampling)
-                ),
-                power_iterations=(
-                    DEFAULT_POWER_ITERATIONS if power_iterations is None
-                    else int(power_iterations)
-                ),
-                seed=int(solver_seed),
-            )
-            return result
-        eigenvalues, d_vectors = symmetric_generalized_eigh(
-            self.galerkin_matrix,
-            self.mesh.areas,
-            num_eigenpairs=num_eigenpairs,
-            method=method,
-        )
-        return KLEResult(
-            eigenvalues=eigenvalues,
-            d_vectors=d_vectors,
-            mesh=self.mesh,
-            kernel=self.kernel,
-        )
-
-
 def mesh_fingerprint(mesh: TriangleMesh) -> str:
     """SHA-256 digest of a mesh's exact geometry and connectivity.
 
@@ -222,18 +113,25 @@ def mesh_fingerprint(mesh: TriangleMesh) -> str:
     return digest.hexdigest()
 
 
+def kle_eigensolver(num_triangles: int) -> str:
+    """The eigensolver :func:`solve_kle` runs on a mesh of this size.
+
+    ``"dense"`` (LAPACK on the assembled Galerkin matrix, every pair) at or
+    below :data:`DENSE_KLE_MAX_TRIANGLES` triangles; ``"randomized"`` (the
+    range finder of :func:`repro.solvers.solve_randomized_kle` on the tiled
+    operator, default sketch, leading pairs only) above it.
+    """
+    return "dense" if num_triangles <= DENSE_KLE_MAX_TRIANGLES else "randomized"
+
+
 def kle_cache_key(
     kernel: CovarianceKernel,
     mesh: TriangleMesh,
     *,
     num_eigenpairs: Optional[int] = None,
     rule: Union[str, TriangleRule] = CENTROID_RULE,
-    method: str = "dense",
-    oversampling: Optional[int] = None,
-    power_iterations: Optional[int] = None,
-    solver_seed: Optional[int] = None,
 ) -> str:
-    """Cache key of one eigensolve: (kernel, mesh, m, rule, method).
+    """Cache key of one eigensolve: (kernel, mesh, m, rule, eigensolver).
 
     The kernel enters through its ``repr`` — every kernel class in
     :mod:`repro.core.kernels` exposes its parameters there — and the mesh
@@ -241,15 +139,15 @@ def kle_cache_key(
     (e.g. a :class:`~repro.core.kernels.NonstationaryVarianceKernel`'s
     ``sigma_fn``) should not be disk-cached; pass ``cache=None`` for those.
 
-    For ``method="randomized"`` the sketch parameters (oversampling,
-    power iterations, seed) are folded in as well: a randomized solve is
-    a pure function of those too, and two solves that could differ must
-    never share a key.  Keys of the deterministic methods are unchanged
-    by the extra arguments, so existing cache entries stay valid.
+    The eigensolver is :func:`kle_eigensolver`'s pick for the mesh; on the
+    randomized route the sketch (oversampling, power iterations, seed) is
+    folded in too, so moving the switch or the default sketch never
+    returns another solver's arrays.
     """
     if isinstance(rule, str):
         rule = get_rule(rule)
     m = mesh.num_triangles if num_eigenpairs is None else int(num_eigenpairs)
+    method = kle_eigensolver(mesh.num_triangles)
     parts = [
         f"kernel={kernel!r}",
         f"mesh={mesh_fingerprint(mesh)}",
@@ -260,16 +158,45 @@ def kle_cache_key(
     if method == "randomized":
         from repro.solvers import DEFAULT_OVERSAMPLING, DEFAULT_POWER_ITERATIONS
 
-        p = DEFAULT_OVERSAMPLING if oversampling is None else int(oversampling)
-        q = (
-            DEFAULT_POWER_ITERATIONS if power_iterations is None
-            else int(power_iterations)
+        parts.append(
+            f"rand=o{DEFAULT_OVERSAMPLING}_q{DEFAULT_POWER_ITERATIONS}_s0"
         )
-        s = 0 if solver_seed is None else int(solver_seed)
-        parts.append(f"rand=o{p}_q{q}_s{s}")
     fingerprint = "|".join(parts)
     digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
     return f"kle_{digest[:24]}_m{m}"
+
+
+def _solve_uncached(
+    kernel: CovarianceKernel,
+    mesh: TriangleMesh,
+    num_eigenpairs: Optional[int],
+    rule: TriangleRule,
+) -> KLEResult:
+    """Run :func:`kle_eigensolver`'s solver for the mesh."""
+    if kle_eigensolver(mesh.num_triangles) == "randomized":
+        from repro.solvers import solve_randomized_kle
+
+        if num_eigenpairs is None:
+            raise ValueError(
+                f"a mesh of {mesh.num_triangles} triangles is solved by the "
+                "randomized eigensolver, which needs an explicit "
+                "num_eigenpairs"
+            )
+        result, _report = solve_randomized_kle(
+            kernel, mesh, int(num_eigenpairs), rule=rule
+        )
+        return result
+    eigenvalues, d_vectors = symmetric_generalized_eigh(
+        assemble_galerkin_matrix(kernel, mesh, rule=rule),
+        mesh.areas,
+        num_eigenpairs=num_eigenpairs,
+    )
+    return KLEResult(
+        eigenvalues=eigenvalues,
+        d_vectors=d_vectors,
+        mesh=mesh,
+        kernel=kernel,
+    )
 
 
 def solve_kle(
@@ -278,46 +205,37 @@ def solve_kle(
     *,
     num_eigenpairs: Optional[int] = None,
     rule: Union[str, TriangleRule] = CENTROID_RULE,
-    method: str = "dense",
     cache: Union[ArtifactCache, str, None] = None,
-    oversampling: Optional[int] = None,
-    power_iterations: Optional[int] = None,
-    solver_seed: int = 0,
 ) -> KLEResult:
-    """One-call convenience wrapper around :class:`GalerkinKLE`.
+    """Solve ``K d = λ Φ d`` and package the leading eigenpairs as a KLE.
+
+    The paper's core contribution in one call: the piecewise-constant
+    basis on ``mesh``, the ``rule`` quadrature of the Galerkin integrals
+    and the generalized eigensolve.  The eigensolver follows from the mesh
+    size through :func:`kle_eigensolver`: LAPACK on the assembled matrix
+    up to :data:`DENSE_KLE_MAX_TRIANGLES` triangles, the matrix-free
+    randomized range finder above, which needs ``num_eigenpairs``.
+
+    ``num_eigenpairs`` is how many leading pairs to keep; ``None`` keeps
+    all ``nt`` (dense route only).  The paper computes the first 200 and
+    then truncates to r = 25 via
+    :meth:`repro.core.kle.KLEResult.select_truncation`.
 
     With ``cache`` given (a directory path or an
     :class:`~repro.utils.artifact_cache.ArtifactCache`), the eigensolve is
     memoized on disk keyed on :func:`kle_cache_key`, turning the dominant
     setup cost of every bench/experiment run into a warm-cache load.
     Corrupt or stale entries are quarantined and regenerated transparently.
-
-    ``method="randomized"`` routes through :mod:`repro.solvers`
-    (matrix-free, leading pairs only); its sketch parameters
-    (``oversampling``, ``power_iterations``, ``solver_seed``) are part
-    of the cache key, so warm hits return the bitwise-identical arrays
-    the cold solve produced.
+    Both solvers are deterministic, so warm hits return the arrays the
+    cold solve produced, bit for bit.
     """
-    if method not in KLE_METHODS:
-        raise ValueError(
-            f"unknown KLE method {method!r}; expected one of {KLE_METHODS}"
-        )
-    solver = GalerkinKLE(kernel, mesh, rule=rule)
+    if isinstance(rule, str):
+        rule = get_rule(rule)
     if cache is None:
-        return solver.solve(
-            num_eigenpairs=num_eigenpairs,
-            method=method,
-            oversampling=oversampling,
-            power_iterations=power_iterations,
-            solver_seed=solver_seed,
-        )
+        return _solve_uncached(kernel, mesh, num_eigenpairs, rule)
     if not isinstance(cache, ArtifactCache):
         cache = get_cache("kle", str(cache))
-    key = kle_cache_key(
-        kernel, mesh, num_eigenpairs=num_eigenpairs, rule=solver.rule,
-        method=method, oversampling=oversampling,
-        power_iterations=power_iterations, solver_seed=solver_seed,
-    )
+    key = kle_cache_key(kernel, mesh, num_eigenpairs=num_eigenpairs, rule=rule)
     cached = cache.load(
         key,
         schema=KLE_CACHE_SCHEMA,
@@ -333,13 +251,7 @@ def solve_kle(
             mesh=mesh,
             kernel=kernel,
         )
-    result = solver.solve(
-        num_eigenpairs=num_eigenpairs,
-        method=method,
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-        solver_seed=solver_seed,
-    )
+    result = _solve_uncached(kernel, mesh, num_eigenpairs, rule)
     cache.store(
         key,
         {"eigenvalues": result.eigenvalues, "d_vectors": result.d_vectors},

@@ -14,9 +14,6 @@ Environment knobs (all optional):
 - ``REPRO_CACHE_DIR``   — on-disk artifact cache directory for placements
   and KLE eigensolves (default: ``.repro_cache`` under the current
   directory; set empty to disable).
-- ``REPRO_KLE_METHOD``  — eigensolver behind every context KLE solve:
-  ``dense`` (default), ``arpack``, or ``randomized`` (matrix-free
-  sketched solve via :mod:`repro.solvers`, for very fine meshes).
 
 On-disk caching goes through :mod:`repro.utils.artifact_cache`: entries
 are checksummed and written atomically, and any corrupt entry (truncated,
@@ -34,7 +31,7 @@ import numpy as np
 
 from repro.circuit.benchmarks import load_circuit
 from repro.circuit.netlist import Netlist
-from repro.core.galerkin import KLE_METHODS, solve_kle
+from repro.core.galerkin import solve_kle
 from repro.core.kernel_fit import paper_experiment_kernel
 from repro.core.kernels import CovarianceKernel, GaussianKernel
 from repro.core.kle import KLEResult
@@ -70,24 +67,6 @@ def default_engine() -> str:
     return engine
 
 
-def default_kle_method() -> str:
-    """KLE eigensolver method for experiment drivers (``REPRO_KLE_METHOD``).
-
-    Unset or blank means ``dense``; any of :data:`KLE_METHODS` is
-    accepted; anything else raises a :class:`ValueError` (same contract
-    as ``REPRO_NATIVE_THREADS``) so a typo fails loudly instead of
-    silently solving with the wrong method.
-    """
-    method = os.environ.get("REPRO_KLE_METHOD", "").strip()
-    if not method:
-        return "dense"
-    if method not in KLE_METHODS:
-        raise ValueError(
-            f"REPRO_KLE_METHOD must be one of {KLE_METHODS}, got {method!r}"
-        )
-    return method
-
-
 def full_mode() -> bool:
     """Whether the gigabyte-scale largest circuits are enabled."""
     return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false")
@@ -118,35 +97,16 @@ def kle_cache() -> Optional[ArtifactCache]:
 class ExperimentContext:
     """Lazily built, memoized experimental artifacts (paper §5.1 setup).
 
-    ``kle_method`` picks the eigensolver behind every context KLE solve
-    (``None`` defers to :func:`default_kle_method`, i.e. the
-    ``REPRO_KLE_METHOD`` environment knob); ``kle_solver_seed`` feeds the
-    randomized method's sketch so its solves stay deterministic.
+    Every context KLE goes through :func:`repro.core.galerkin.solve_kle`,
+    which picks the eigensolver from the mesh size.
     """
 
-    def __init__(
-        self,
-        *,
-        kle_method: Optional[str] = None,
-        kle_solver_seed: int = 0,
-    ):
-        if kle_method is not None and kle_method not in KLE_METHODS:
-            raise ValueError(
-                f"kle_method must be one of {KLE_METHODS}, got {kle_method!r}"
-            )
-        self.kle_method = kle_method
-        self.kle_solver_seed = int(kle_solver_seed)
+    def __init__(self) -> None:
         self._kernel: Optional[GaussianKernel] = None
         self._mesh: Optional[TriangleMesh] = None
         self._kle: Optional[KLEResult] = None
         self._circuits: Dict[str, Netlist] = {}
         self._placements: Dict[str, Placement] = {}
-
-    def _solver_method(self) -> str:
-        """The effective eigensolver method for this context's solves."""
-        if self.kle_method is not None:
-            return self.kle_method
-        return default_kle_method()
 
     @property
     def kernel(self) -> GaussianKernel:
@@ -175,8 +135,6 @@ class ExperimentContext:
                 self.mesh,
                 num_eigenpairs=200,
                 cache=kle_cache(),
-                method=self._solver_method(),
-                solver_seed=self.kle_solver_seed,
             )
         return self._kle
 
@@ -213,8 +171,6 @@ class ExperimentContext:
             mesh or self.mesh,
             num_eigenpairs=num_eigenpairs,
             cache=kle_cache(),
-            method=self._solver_method(),
-            solver_seed=self.kle_solver_seed,
         )
 
 

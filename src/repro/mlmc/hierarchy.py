@@ -40,11 +40,6 @@ from repro.mesh.mesh import TriangleMesh
 from repro.timing.library import STATISTICAL_PARAMETERS
 from repro.utils.artifact_cache import ArtifactCache
 
-#: Triangle count above which :class:`MeshKLEHierarchy`'s ``"auto"``
-#: solver selection switches a level from the dense eigensolver to the
-#: matrix-free randomized one (:mod:`repro.solvers`).
-RANDOMIZED_LEVEL_THRESHOLD = 4096
-
 #: Evaluation modes a level model may request from the estimator.
 LEVEL_TIMERS = ("sta", "linear")
 
@@ -203,14 +198,12 @@ class MeshKLEHierarchy(LevelHierarchy):
     the Safta–Najm / Griebel–Li per-level convergence axis — while the
     truncation rank is held (up to availability) at ``rank``.  Eigensolves
     go through :func:`repro.core.galerkin.solve_kle` and therefore hit the
-    same disk cache the experiments use.
-
-    ``solver_method`` picks the per-level eigensolver: a method name from
-    :data:`repro.core.galerkin.KLE_METHODS` applies to every level, while
-    ``"auto"`` (the default) solves coarse levels densely and switches to
-    the matrix-free randomized solver above ``randomized_threshold``
-    triangles — exactly the regime where dense assembly stops fitting.
-    The per-level choices are recorded in :attr:`solver_methods`.
+    same disk cache the experiments use.  ``solve_kle`` picks each level's
+    eigensolver from its triangle count: dense on coarse levels, the
+    matrix-free randomized solver above
+    :data:`~repro.core.galerkin.DENSE_KLE_MAX_TRIANGLES` — exactly the
+    regime where dense assembly stops fitting.  The per-level choices are
+    recorded in :attr:`solver_methods`.
     """
 
     def __init__(
@@ -221,24 +214,9 @@ class MeshKLEHierarchy(LevelHierarchy):
         rank: int = 25,
         num_eigenpairs: Optional[int] = None,
         cache: Union[ArtifactCache, str, None] = None,
-        solver_method: str = "auto",
-        randomized_threshold: int = RANDOMIZED_LEVEL_THRESHOLD,
-        oversampling: Optional[int] = None,
-        power_iterations: Optional[int] = None,
-        solver_seed: int = 0,
     ):
-        from repro.core.galerkin import KLE_METHODS, solve_kle
+        from repro.core.galerkin import kle_eigensolver, solve_kle
 
-        if solver_method != "auto" and solver_method not in KLE_METHODS:
-            raise ValueError(
-                f"solver_method must be 'auto' or one of {KLE_METHODS}, "
-                f"got {solver_method!r}"
-            )
-        if randomized_threshold < 0:
-            raise ValueError(
-                f"randomized_threshold must be >= 0, "
-                f"got {randomized_threshold}"
-            )
         meshes = list(meshes)
         if not meshes:
             raise ValueError("need at least one mesh")
@@ -261,20 +239,11 @@ class MeshKLEHierarchy(LevelHierarchy):
             raise ValueError(f"rank must be >= 1, got {rank}")
 
         models: List[LevelModel] = []
-        methods: List[str] = []
         for mesh in meshes:
             pairs = min(
                 num_eigenpairs if num_eigenpairs else max(4 * rank, 32),
                 mesh.num_triangles,
             )
-            if solver_method == "auto":
-                method = (
-                    "randomized"
-                    if mesh.num_triangles > randomized_threshold
-                    else "dense"
-                )
-            else:
-                method = solver_method
             solved: Dict[str, KLEResult] = {}
             by_kernel: Dict[int, KLEResult] = {}
             for name, kern in kernels.items():
@@ -285,10 +254,6 @@ class MeshKLEHierarchy(LevelHierarchy):
                         mesh,
                         num_eigenpairs=pairs,
                         cache=cache,
-                        method=method,
-                        oversampling=oversampling,
-                        power_iterations=power_iterations,
-                        solver_seed=solver_seed,
                     )
                 solved[name] = by_kernel[key]
             level_ranks = {
@@ -303,10 +268,11 @@ class MeshKLEHierarchy(LevelHierarchy):
                     parameter=float(mesh.num_triangles),
                 )
             )
-            methods.append(method)
         super().__init__(models)
         #: Eigensolver method actually used at each level, coarsest first.
-        self.solver_methods: Tuple[str, ...] = tuple(methods)
+        self.solver_methods: Tuple[str, ...] = tuple(
+            kle_eigensolver(mesh.num_triangles) for mesh in meshes
+        )
 
 
 class SurrogateKLEHierarchy(LevelHierarchy):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.benchmarks import load_circuit
 from repro.circuit.netlist import Netlist
-from repro.core.galerkin import solve_kle
+from repro.core.galerkin import kle_eigensolver, solve_kle
 from repro.core.kle import KLEResult
 from repro.mesh.mesh import TriangleMesh
 from repro.mesh.structured import structured_rectangle_mesh
@@ -172,8 +172,6 @@ class ArtifactRegistry:
                     mesh,
                     num_eigenpairs=self.config.num_eigenpairs,
                     cache=self._kle_cache(),
-                    method=self.config.kle_method,
-                    solver_seed=self.config.kle_solver_seed,
                 )
             except Exception as exc:
                 # Graceful degradation is the service contract: any warm
@@ -188,8 +186,6 @@ class ArtifactRegistry:
                         mesh,
                         num_eigenpairs=self.config.num_eigenpairs,
                         cache=None,
-                        method=self.config.kle_method,
-                        solver_seed=self.config.kle_solver_seed,
                     )
                 except Exception as cold_exc:
                     # Terminal: surface a typed error; the caller fails
@@ -340,6 +336,6 @@ class ArtifactRegistry:
             "resident": dict(counts),
             "resident_bytes": self.resident_bytes(),
             "kernel_threads": self.kernel_threads(),
-            "kle_method": self.config.kle_method,
+            "kle_method": kle_eigensolver(self.mesh().num_triangles),
             "quarantined": quarantined,
         }

@@ -23,7 +23,6 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.galerkin import KLE_METHODS
 from repro.core.kernels import (
     CovarianceKernel,
     GaussianKernel,
@@ -64,11 +63,8 @@ class ServiceConfig:
     engine (``None`` defers to ``REPRO_NATIVE_THREADS`` per run); it is
     multiplicative with ``num_workers``, so a saturated service should
     keep ``num_workers * kernel_threads`` near the core count.
-    ``kle_method`` selects the eigensolver behind the resident KLE
-    artifacts (any of :data:`repro.core.galerkin.KLE_METHODS`;
-    ``"randomized"`` is the matrix-free sketched path for fine service
-    meshes, seeded by ``kle_solver_seed`` so residency stays a pure
-    function of the config).
+    The resident KLEs come from :func:`repro.core.galerkin.solve_kle`,
+    which picks the eigensolver from the mesh size.
     """
 
     kernels: Mapping[str, CovarianceKernel] = field(
@@ -87,8 +83,6 @@ class ServiceConfig:
     root_seed: Optional[int] = None
     cache_directory: Optional[str] = None
     kernel_threads: Optional[int] = None
-    kle_method: str = "dense"
-    kle_solver_seed: int = 0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an internally inconsistent config."""
@@ -108,13 +102,6 @@ class ServiceConfig:
             raise ValueError("stream_buffer_chunks must be >= 1")
         if self.kernel_threads is not None and self.kernel_threads < 1:
             raise ValueError("kernel_threads must be >= 1 when given")
-        if self.kle_method not in KLE_METHODS:
-            raise ValueError(
-                f"kle_method must be one of {KLE_METHODS}, "
-                f"got {self.kle_method!r}"
-            )
-        if self.kle_solver_seed < 0:
-            raise ValueError("kle_solver_seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,21 +16,14 @@ operand, and discarded, so peak memory is one tile plus the operand
 instead of the full n × n matrix.  The tiles come from
 :func:`repro.core.kernels.gram_row_tiles`, the loop every Galerkin
 assembly runs on.
-
-For meshes small enough that dense assembly is cheaper than repeated
-kernel evaluation, :class:`DenseKernelOperator` wraps the assembled
-matrix behind the same interface; :func:`make_kernel_operator` picks
-between the two by triangle count.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.core.galerkin import assemble_galerkin_matrix
 from repro.core.kernels import (
     DEFAULT_TILE_BYTES,
     KERNEL_EVAL_TEMP_DOUBLES,
@@ -41,61 +34,8 @@ from repro.core.kernels import (
 from repro.core.quadrature import CENTROID_RULE, TriangleRule, get_rule
 from repro.mesh.mesh import TriangleMesh
 
-#: Triangle count at or below which :func:`make_kernel_operator` prefers
-#: the dense operator (one assembly beats ~5 tiled passes there, and the
-#: n² footprint is still tiny).
-DENSE_OPERATOR_THRESHOLD = 2048
 
-
-class KernelOperator(abc.ABC):
-    """Protocol for applying the Galerkin matrix ``K`` without owning it.
-
-    Implementations are symmetric linear operators on per-triangle
-    vectors: ``matmat(X)[i] = Σ_k K_ik X[k]`` with ``K`` the (possibly
-    never materialized) Galerkin matrix.  ``peak_bytes`` exposes the
-    implementation's working-set estimate so solvers and benches can
-    reason about memory feasibility before running.
-    """
-
-    #: Implementation tag ("tiled" or "dense") for reports/cache keys.
-    kind: str = "abstract"
-
-    @property
-    @abc.abstractmethod
-    def shape(self) -> Tuple[int, int]:
-        """``(n, n)`` with ``n`` the mesh triangle count."""
-
-    @abc.abstractmethod
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        """Apply the operator to a block of column vectors: ``K @ block``.
-
-        ``block`` has shape ``(n, k)``; the result has the same shape.
-        """
-
-    @abc.abstractmethod
-    def peak_bytes(self, num_vectors: int) -> int:
-        """Estimated peak working-set bytes of one ``matmat`` with
-        ``num_vectors`` columns (operand, temporaries and result)."""
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """Apply the operator to a single vector: ``K @ vector``."""
-        arr = np.asarray(vector, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError(f"matvec expects a 1-D vector, got shape {arr.shape}")
-        return self.matmat(arr[:, None])[:, 0]
-
-    def _check_block(self, block: np.ndarray) -> np.ndarray:
-        """Validate and convert a matmat operand."""
-        arr = np.asarray(block, dtype=float)
-        n = self.shape[0]
-        if arr.ndim != 2 or arr.shape[0] != n:
-            raise ValueError(
-                f"operand must have shape ({n}, k), got {arr.shape}"
-            )
-        return arr
-
-
-class TiledKernelOperator(KernelOperator):
+class TiledKernelOperator:
     """Apply ``K`` by evaluating kernel-Gram tiles on the fly.
 
     One ``matmat`` pass evaluates every pairwise kernel value once, in
@@ -109,8 +49,6 @@ class TiledKernelOperator(KernelOperator):
     needs); different tile budgets agree to rounding, not bitwise, since
     BLAS picks its reduction blocking per matrix shape.
     """
-
-    kind = "tiled"
 
     def __init__(
         self,
@@ -137,8 +75,15 @@ class TiledKernelOperator(KernelOperator):
         return (n, n)
 
     def matmat(self, block: np.ndarray) -> np.ndarray:
-        """Tiled ``K @ block``: one pass over the kernel Gram rows."""
-        arr = self._check_block(block)
+        """Tiled ``K @ block``: one pass over the kernel Gram rows.
+
+        ``block`` has shape ``(n, k)``; the result has the same shape.
+        """
+        arr = np.asarray(block, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != self.shape[0]:
+            raise ValueError(
+                f"operand must have shape ({self.shape[0]}, k), got {arr.shape}"
+            )
         q = self.rule.num_points
         n, k = arr.shape
         weights = self._weights
@@ -155,83 +100,14 @@ class TiledKernelOperator(KernelOperator):
         return accumulated.reshape(n, q, k).sum(axis=1)
 
     def peak_bytes(self, num_vectors: int) -> int:
-        """Working set of one pass: tile temporaries + operand + result."""
+        """Estimated peak working-set bytes of one ``matmat`` with
+        ``num_vectors`` columns: tile temporaries, operand and result."""
         if num_vectors < 1:
             raise ValueError(f"num_vectors must be >= 1, got {num_vectors}")
         nodes = len(self._points)
         tile_bytes = 8 * self.tile_rows * nodes * KERNEL_EVAL_TEMP_DOUBLES
         vector_bytes = 8 * num_vectors * (2 * nodes + self.shape[0])
         return tile_bytes + vector_bytes + 8 * 2 * nodes
-
-
-class DenseKernelOperator(KernelOperator):
-    """Dense fallback: assemble ``K`` once, then apply it with BLAS.
-
-    The right choice for small meshes, where an eigensolver's several
-    passes would re-evaluate the kernel Gram matrix each time while the
-    assembled matrix fits comfortably in memory.  Assembly is deferred
-    to the first application.
-    """
-
-    kind = "dense"
-
-    def __init__(
-        self,
-        kernel: CovarianceKernel,
-        mesh: TriangleMesh,
-        *,
-        rule: Union[str, TriangleRule] = CENTROID_RULE,
-    ) -> None:
-        if mesh.num_triangles == 0:
-            raise ValueError("cannot build a kernel operator on an empty mesh")
-        self.kernel = kernel
-        self.mesh = mesh
-        self.rule = get_rule(rule) if isinstance(rule, str) else rule
-        self._matrix: Optional[np.ndarray] = None
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """``(n, n)`` with ``n`` the mesh triangle count."""
-        n = self.mesh.num_triangles
-        return (n, n)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The assembled Galerkin matrix (built on first access)."""
-        if self._matrix is None:
-            self._matrix = assemble_galerkin_matrix(
-                self.kernel, self.mesh, rule=self.rule
-            )
-        return self._matrix
-
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        """``K @ block`` through the assembled matrix."""
-        return self.matrix @ self._check_block(block)
-
-    def peak_bytes(self, num_vectors: int) -> int:
-        """Assembled matrix plus operand and result blocks."""
-        if num_vectors < 1:
-            raise ValueError(f"num_vectors must be >= 1, got {num_vectors}")
-        n = self.shape[0]
-        return 8 * (n * n + 2 * n * num_vectors)
-
-
-def make_kernel_operator(
-    kernel: CovarianceKernel,
-    mesh: TriangleMesh,
-    *,
-    rule: Union[str, TriangleRule] = CENTROID_RULE,
-) -> KernelOperator:
-    """Pick the right operator implementation for a mesh size.
-
-    At or below :data:`DENSE_OPERATOR_THRESHOLD` triangles the dense
-    operator wins (one assembly, BLAS-speed applications); above it the
-    tiled matrix-free operator keeps peak memory bounded by one Gram tile
-    of :data:`~repro.core.kernels.DEFAULT_TILE_BYTES` regardless of ``n``.
-    """
-    if mesh.num_triangles <= DENSE_OPERATOR_THRESHOLD:
-        return DenseKernelOperator(kernel, mesh, rule=rule)
-    return TiledKernelOperator(kernel, mesh, rule=rule)
 
 
 def dense_solve_bytes(num_triangles: int) -> int:

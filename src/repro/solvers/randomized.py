@@ -2,13 +2,13 @@
 
 Solves the generalized eigenproblem ``K d = λ Φ d`` (paper eq. (13))
 for the ``m`` *leading* pairs only, touching ``K`` through operator
-passes alone (above :data:`~repro.solvers.operator.DENSE_OPERATOR_THRESHOLD`
-triangles those passes evaluate Gram tiles and never materialize ``K``):
+passes alone (each pass evaluates Gram tiles and never materializes
+``K``):
 
 1.  Whiten: with ``Φ = diag(a_i)`` the similarity transform
     ``A = Φ^{-1/2} K Φ^{-1/2}`` yields a symmetric standard problem
     whose operator action costs one :class:`~repro.solvers.operator.
-    KernelOperator` pass plus two diagonal scalings.
+    TiledKernelOperator` pass plus two diagonal scalings.
 2.  Sketch: draw a Gaussian test matrix ``Ω`` of ``m + oversampling``
     columns (seeded through :func:`repro.utils.rng.spawn_seed_sequences`
     so every solve is deterministic per seed) and capture the range of
@@ -43,11 +43,7 @@ from repro.core.kernels import CovarianceKernel
 from repro.core.kle import KLEResult
 from repro.core.quadrature import CENTROID_RULE, TriangleRule
 from repro.mesh.mesh import TriangleMesh
-from repro.solvers.operator import (
-    KernelOperator,
-    dense_solve_bytes,
-    make_kernel_operator,
-)
+from repro.solvers.operator import TiledKernelOperator, dense_solve_bytes
 from repro.utils.rng import spawn_seed_sequences
 
 #: Default extra sketch columns beyond the requested eigenpair count.
@@ -76,7 +72,6 @@ class RandomizedSolveReport:
     oversampling: int
     power_iterations: int
     seed: int
-    operator_kind: str
     matmat_passes: int
     peak_bytes: int
     resident_bytes: int
@@ -120,7 +115,7 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def randomized_generalized_eigh(
-    operator: KernelOperator,
+    operator: TiledKernelOperator,
     phi_diag: np.ndarray,
     num_eigenpairs: int,
     *,
@@ -187,7 +182,6 @@ def randomized_generalized_eigh(
         oversampling=oversampling,
         power_iterations=power_iterations,
         seed=int(seed),
-        operator_kind=operator.kind,
         matmat_passes=passes,
         peak_bytes=peak,
         resident_bytes=int(eigvals.nbytes + d_vectors.nbytes),
@@ -206,21 +200,19 @@ def solve_randomized_kle(
     power_iterations: int = DEFAULT_POWER_ITERATIONS,
     seed: int = 0,
 ) -> Tuple[KLEResult, RandomizedSolveReport]:
-    """One-call randomized KLE: operator selection + sketch + packaging.
+    """One-call randomized KLE: tiled operator + sketch + packaging.
 
-    The matrix-free entry point behind
-    ``solve_kle(..., method="randomized")``: builds the
-    :class:`~repro.solvers.operator.KernelOperator` that
-    :func:`~repro.solvers.operator.make_kernel_operator` picks for the
-    mesh size (dense at or below
-    :data:`~repro.solvers.operator.DENSE_OPERATOR_THRESHOLD` triangles,
-    tiled above) and returns the packaged
+    The matrix-free solver :func:`repro.core.galerkin.solve_kle` runs
+    above :data:`~repro.core.galerkin.DENSE_KLE_MAX_TRIANGLES` triangles
+    (with the default sketch): builds a
+    :class:`~repro.solvers.operator.TiledKernelOperator` with the default
+    64 MiB tiles and returns the packaged
     :class:`~repro.core.kle.KLEResult` along with the solve's
     :class:`RandomizedSolveReport`.  To solve on an operator of your own
-    (a tiled one on a small mesh, another tile budget), call
-    :func:`randomized_generalized_eigh` with it.
+    (another tile budget), call :func:`randomized_generalized_eigh` with
+    it.
     """
-    operator = make_kernel_operator(kernel, mesh, rule=rule)
+    operator = TiledKernelOperator(kernel, mesh, rule=rule)
     eigvals, d_vectors, report = randomized_generalized_eigh(
         operator,
         mesh.areas,

@@ -117,7 +117,8 @@ _PTHREAD_PROBE = (
 )
 
 _cached: Optional[object] = None
-#: The effective compiler flags :data:`_cached` was loaded under.
+#: The effective compiler flags of the last load attempt; :data:`_cached`
+#: holds its result (``None`` when the build or the load failed).
 _cached_key: Optional[Tuple[str, ...]] = None
 _compiler_identity_cache: Optional[str] = None
 _thread_backend_cache: Optional[str] = None
@@ -682,9 +683,10 @@ def load_kernel() -> Optional[object]:
     artifact cache directory; builds are atomic (compile to a temp file,
     then ``os.replace``) so concurrent processes — bench workers or CI
     jobs sharing ``REPRO_CACHE_DIR`` — never load a half-written library.
-    The loaded function is memoized per process on the effective flags:
-    the source is read and hashed once, and again only when
-    ``REPRO_SANITIZE`` or a thread-backend pin changes the flags.
+    The outcome, the loaded function or ``None``, is memoized per process
+    on the effective flags: the source is read and hashed, and a failing
+    compiler started, once, and again only when ``REPRO_SANITIZE`` or a
+    thread-backend pin changes the flags.
     """
     global _cached, _cached_key
     if os.environ.get("REPRO_NO_NATIVE"):
@@ -693,8 +695,16 @@ def load_kernel() -> Optional[object]:
     # before any fallback logic: silently running the wrong kernel
     # because of a typo would invalidate what the run claims to prove.
     cflags = tuple(_effective_cflags())
-    if _cached is not None and _cached_key == cflags:
-        return _cached
+    if _cached_key != cflags:
+        # Per-process memo of the load outcome: each process dlopens the
+        # (disk-shared) .so, or fails to build it, once per flag set;
+        # nothing reads this across processes.
+        _cached, _cached_key = _build_and_load(cflags), cflags
+    return _cached
+
+
+def _build_and_load(cflags: Tuple[str, ...]) -> Optional[object]:
+    """Compile (or reuse) the kernel built with ``cflags`` and load it."""
     try:
         source = _SOURCE.read_bytes()
     except OSError:
@@ -733,8 +743,4 @@ def load_kernel() -> Optional[object]:
         return None
     fn.argtypes = kernel_argtypes()
     fn.restype = KERNEL_RESTYPE
-    # Per-process memo of the loaded ctypes function: each process
-    # dlopens the (disk-shared) .so once; nothing reads this across
-    # processes.
-    _cached, _cached_key = fn, cflags
-    return _cached
+    return fn

@@ -87,7 +87,6 @@ def symmetric_generalized_eigh(
     phi_diag: np.ndarray,
     *,
     num_eigenpairs: int | None = None,
-    method: str = "dense",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve ``K d = λ Φ d`` with diagonal positive ``Φ``, descending order.
 
@@ -95,7 +94,9 @@ def symmetric_generalized_eigh(
     we use the similarity transform ``e = Φ^{1/2} d`` which yields the
     *symmetric* standard problem ``Φ^{-1/2} K Φ^{-1/2} e = λ e``.  This keeps
     the computed eigenvalues real and the eigenvectors Φ-orthogonal, which the
-    KLE reconstruction relies on.
+    KLE reconstruction relies on.  The full LAPACK eigensolver runs on it —
+    robust and fast for the few-thousand-triangle meshes of the paper (the
+    randomized solver of :mod:`repro.solvers` covers finer meshes).
 
     Parameters
     ----------
@@ -105,14 +106,6 @@ def symmetric_generalized_eigh(
         The diagonal of ``Φ`` (triangle areas), all strictly positive.
     num_eigenpairs:
         If given, only the largest ``num_eigenpairs`` pairs are returned.
-    method:
-        ``"dense"`` (default) uses the full LAPACK eigensolver — robust and
-        fast for the few-thousand-triangle meshes of the paper.
-        ``"arpack"`` uses the iterative Lanczos solver
-        (:func:`scipy.sparse.linalg.eigsh`) to compute only the requested
-        leading pairs — the right tool when ``n`` grows to tens of
-        thousands (requires ``num_eigenpairs``; the paper's Matlab flow
-        used the equivalent ``eigs``).
 
     Returns
     -------
@@ -139,32 +132,14 @@ def symmetric_generalized_eigh(
     scaled = k_matrix / sqrt_phi[:, None] / sqrt_phi[None, :]
     scaled = 0.5 * (scaled + scaled.T)
 
-    if method == "dense":
-        eigvals, eigvecs = np.linalg.eigh(scaled)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-        if num_eigenpairs is not None:
-            num_eigenpairs = min(num_eigenpairs, eigvals.shape[0])
-            eigvals = eigvals[:num_eigenpairs]
-            eigvecs = eigvecs[:, :num_eigenpairs]
-    elif method == "arpack":
-        import scipy.sparse.linalg
-
-        n = scaled.shape[0]
-        if num_eigenpairs is None:
-            raise ValueError("method='arpack' requires num_eigenpairs")
-        k = min(num_eigenpairs, n - 1)
-        if k < 1:
-            raise ValueError("matrix too small for the iterative solver")
-        eigvals, eigvecs = scipy.sparse.linalg.eigsh(scaled, k=k, which="LA")
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-    else:
-        raise ValueError(
-            f"method must be 'dense' or 'arpack', got {method!r}"
-        )
+    eigvals, eigvecs = np.linalg.eigh(scaled)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    if num_eigenpairs is not None:
+        num_eigenpairs = min(num_eigenpairs, eigvals.shape[0])
+        eigvals = eigvals[:num_eigenpairs]
+        eigvecs = eigvecs[:, :num_eigenpairs]
     # Undo the similarity transform: d = Φ^{-1/2} e.
     d_vectors = eigvecs / sqrt_phi[:, None]
     return eigvals, d_vectors

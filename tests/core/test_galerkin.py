@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import kernels
+from repro.core import galerkin, kernels
 from repro.core.analytic import separable_exponential_kle_2d
-from repro.core.galerkin import GalerkinKLE, assemble_galerkin_matrix, solve_kle
+from repro.core.galerkin import (
+    assemble_galerkin_matrix,
+    kle_eigensolver,
+    solve_kle,
+)
 from repro.core.kernel_fit import paper_experiment_kernel
 from repro.core.kernels import (
     DEFAULT_TILE_BYTES,
@@ -16,6 +20,8 @@ from repro.core.kernels import (
 from repro.core.quadrature import get_rule
 from repro.mesh.refine import paper_mesh
 from repro.mesh.structured import structured_rectangle_mesh
+from repro.solvers import solve_randomized_kle
+from repro.utils.linalg import symmetric_generalized_eigh
 
 DIE = (-1.0, -1.0, 1.0, 1.0)
 
@@ -121,13 +127,6 @@ def test_matern_kernel_solvable():
     assert kle.eigenvalues[0] > kle.eigenvalues[5] > 0.0
 
 
-def test_galerkin_matrix_cached():
-    mesh = structured_rectangle_mesh(*DIE, 4, 4)
-    solver = GalerkinKLE(GaussianKernel(2.0), mesh)
-    first = solver.galerkin_matrix
-    assert solver.galerkin_matrix is first
-
-
 def test_num_eigenpairs_truncation():
     mesh = structured_rectangle_mesh(*DIE, 6, 6)
     kle = solve_kle(GaussianKernel(2.0), mesh, num_eigenpairs=7)
@@ -187,15 +186,43 @@ def test_blocked_assembly_matches_unblocked():
             assert np.array_equal(small_blocks, one_shot)
 
 
-def test_arpack_solver_matches_dense(gaussian_kle):
-    """solve_kle(method='arpack') reproduces the dense leading spectrum."""
-    arpack = solve_kle(
-        gaussian_kle.kernel, gaussian_kle.mesh, num_eigenpairs=12,
-        method="arpack",
+def test_kle_eigensolver_switches_above_4096_triangles():
+    assert kle_eigensolver(1) == "dense"
+    assert kle_eigensolver(4096) == "dense"
+    assert kle_eigensolver(4097) == "randomized"
+
+
+@pytest.fixture()
+def switch_at_64(monkeypatch):
+    """Move the size switch to 64 triangles, so small meshes reach the
+    randomized route."""
+    monkeypatch.setattr(galerkin, "DENSE_KLE_MAX_TRIANGLES", 64)
+
+
+@pytest.mark.parametrize("rule", ["centroid", "three_point"])
+def test_solve_kle_above_the_switch_is_the_randomized_solve(switch_at_64, rule):
+    mesh = structured_rectangle_mesh(*DIE, 6, 6)  # 72 triangles
+    kernel = GaussianKernel(1.4)
+    assert kle_eigensolver(mesh.num_triangles) == "randomized"
+    kle = solve_kle(kernel, mesh, num_eigenpairs=10, rule=rule)
+    expected, _ = solve_randomized_kle(kernel, mesh, 10, rule=rule)
+    np.testing.assert_array_equal(kle.eigenvalues, expected.eigenvalues)
+    np.testing.assert_array_equal(kle.d_vectors, expected.d_vectors)
+
+
+@pytest.mark.parametrize("rule", ["centroid", "three_point"])
+def test_solve_kle_at_the_switch_is_the_dense_solve(switch_at_64, rule):
+    mesh = structured_rectangle_mesh(*DIE, 4, 8)  # 64 triangles
+    kernel = GaussianKernel(1.4)
+    assert kle_eigensolver(mesh.num_triangles) == "dense"
+    kle = solve_kle(kernel, mesh, num_eigenpairs=10, rule=rule)
+    values, vectors = symmetric_generalized_eigh(
+        assemble_galerkin_matrix(kernel, mesh, rule=rule),
+        mesh.areas,
+        num_eigenpairs=10,
     )
-    assert np.allclose(
-        arpack.eigenvalues, gaussian_kle.eigenvalues[:12], rtol=1e-8
-    )
+    np.testing.assert_array_equal(kle.eigenvalues, values)
+    np.testing.assert_array_equal(kle.d_vectors, vectors)
 
 
 def test_tiled_centroid_assembly_matches_one_shot(small_refined_mesh):

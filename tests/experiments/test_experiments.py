@@ -134,26 +134,3 @@ def test_run_table1_row_chunked():
     )
     assert row.num_samples == 90
     assert row.e_mu_percent >= 0.0
-
-
-def test_default_kle_method_env(monkeypatch):
-    import pytest as _pytest
-
-    from repro.experiments.common import ExperimentContext, default_kle_method
-
-    monkeypatch.delenv("REPRO_KLE_METHOD", raising=False)
-    assert default_kle_method() == "dense"
-    monkeypatch.setenv("REPRO_KLE_METHOD", "")
-    assert default_kle_method() == "dense"
-    for method in ("dense", "arpack", "randomized"):
-        monkeypatch.setenv("REPRO_KLE_METHOD", method)
-        assert default_kle_method() == method
-        assert ExperimentContext()._solver_method() == method
-    monkeypatch.setenv("REPRO_KLE_METHOD", "quantum")
-    with _pytest.raises(ValueError, match="REPRO_KLE_METHOD"):
-        default_kle_method()
-    # An explicit context argument wins over the environment...
-    assert ExperimentContext(kle_method="dense")._solver_method() == "dense"
-    # ...and a bogus one fails at construction, not at first solve.
-    with _pytest.raises(ValueError, match="kle_method"):
-        ExperimentContext(kle_method="quantum")

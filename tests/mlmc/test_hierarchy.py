@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import galerkin
+from repro.core.galerkin import solve_kle
 from repro.mesh.structured import structured_rectangle_mesh
 from repro.mlmc import (
     KLERankHierarchy,
@@ -84,76 +86,39 @@ class TestMeshKLEHierarchy:
         with pytest.raises(ValueError, match="coarse-to-fine"):
             MeshKLEHierarchy(gaussian_kernel, [fine, coarse], rank=8)
 
-    def test_auto_solver_selection_switches_at_threshold(self, gaussian_kernel):
+    def test_auto_solver_selection_switches_at_threshold(
+        self, gaussian_kernel, monkeypatch
+    ):
         coarse = structured_rectangle_mesh(*DIE, 4, 4)  # 32 triangles
         fine = structured_rectangle_mesh(*DIE, 8, 8)  # 128 triangles
-        hierarchy = MeshKLEHierarchy(
-            gaussian_kernel,
-            [coarse, fine],
-            rank=8,
-            num_eigenpairs=16,
-            randomized_threshold=64,
-        )
-        assert hierarchy.solver_methods == ("dense", "randomized")
-        # The default threshold keeps small ladders fully dense.
+        # The default switch keeps small ladders fully dense.
         dense_ladder = MeshKLEHierarchy(
             gaussian_kernel, [coarse, fine], rank=8, num_eigenpairs=16
         )
         assert dense_ladder.solver_methods == ("dense", "dense")
-
-    def test_auto_is_bitwise_identical_to_the_explicit_methods(
-        self, gaussian_kernel
-    ):
-        # "auto" is pure routing — each level's eigenpairs must be the
-        # exact arrays the explicitly chosen solver produces, bit for
-        # bit, or the mode silently changes every downstream estimate.
-        coarse = structured_rectangle_mesh(*DIE, 4, 4)  # 32 triangles
-        fine = structured_rectangle_mesh(*DIE, 8, 8)  # 128 triangles
-        common = dict(rank=8, num_eigenpairs=16, solver_seed=7)
-        auto = MeshKLEHierarchy(
-            gaussian_kernel,
-            [coarse, fine],
-            randomized_threshold=64,
-            **common,
-        )
-        assert auto.solver_methods == ("dense", "randomized")
-        dense = MeshKLEHierarchy(
-            gaussian_kernel, [coarse], solver_method="dense", **common
-        )
-        randomized = MeshKLEHierarchy(
-            gaussian_kernel, [fine], solver_method="randomized", **common
-        )
-        for name, kle in auto.models()[0].kles.items():
-            explicit = dense.models()[0].kles[name]
-            assert (kle.eigenvalues == explicit.eigenvalues).all()
-            assert (kle.d_vectors == explicit.d_vectors).all()
-        for name, kle in auto.models()[1].kles.items():
-            explicit = randomized.models()[0].kles[name]
-            assert (kle.eigenvalues == explicit.eigenvalues).all()
-            assert (kle.d_vectors == explicit.d_vectors).all()
-
-    def test_explicit_solver_method_applies_to_every_level(
-        self, gaussian_kernel
-    ):
-        coarse = structured_rectangle_mesh(*DIE, 4, 4)
-        fine = structured_rectangle_mesh(*DIE, 8, 8)
+        monkeypatch.setattr(galerkin, "DENSE_KLE_MAX_TRIANGLES", 64)
         hierarchy = MeshKLEHierarchy(
-            gaussian_kernel,
-            [coarse, fine],
-            rank=8,
-            num_eigenpairs=16,
-            solver_method="randomized",
-            solver_seed=3,
+            gaussian_kernel, [coarse, fine], rank=8, num_eigenpairs=16
         )
-        assert hierarchy.solver_methods == ("randomized", "randomized")
-        with pytest.raises(ValueError, match="solver_method"):
-            MeshKLEHierarchy(
-                gaussian_kernel, [coarse], rank=8, solver_method="nope"
-            )
-        with pytest.raises(ValueError, match="randomized_threshold"):
-            MeshKLEHierarchy(
-                gaussian_kernel, [coarse], rank=8, randomized_threshold=-1
-            )
+        assert hierarchy.solver_methods == ("dense", "randomized")
+
+    def test_each_level_is_bitwise_solve_kle(self, gaussian_kernel, monkeypatch):
+        # The ladder adds no solver choice of its own: each level's
+        # eigenpairs are the exact arrays solve_kle returns for its mesh,
+        # on either side of the size switch.
+        monkeypatch.setattr(galerkin, "DENSE_KLE_MAX_TRIANGLES", 64)
+        meshes = [
+            structured_rectangle_mesh(*DIE, 4, 4),  # 32 triangles: dense
+            structured_rectangle_mesh(*DIE, 8, 8),  # 128: randomized
+        ]
+        hierarchy = MeshKLEHierarchy(
+            gaussian_kernel, meshes, rank=8, num_eigenpairs=16
+        )
+        for mesh, model in zip(meshes, hierarchy.models()):
+            expected = solve_kle(gaussian_kernel, mesh, num_eigenpairs=16)
+            for kle in model.kles.values():
+                assert (kle.eigenvalues == expected.eigenvalues).all()
+                assert (kle.d_vectors == expected.d_vectors).all()
 
 
 class TestSurrogateKLEHierarchy:

@@ -71,8 +71,6 @@ class TestRequestValidation:
             dict(max_batch_requests=0),
             dict(stream_buffer_chunks=0),
             dict(kernel_threads=0),
-            dict(kle_method="no-such-solver"),
-            dict(kle_solver_seed=-1),
         ],
     )
     def test_malformed_configs_are_rejected(self, kwargs):
@@ -241,20 +239,23 @@ class TestResidency:
             )
             assert program.native_scratch_bytes(2) > 0
 
-    def test_randomized_kle_method_reaches_residency(self):
+    def test_randomized_kle_method_reaches_residency(self, monkeypatch):
         import numpy as np
 
+        from repro.core import galerkin
         from repro.service import ArtifactRegistry
         from repro.solvers import solve_randomized_kle
 
-        config = tiny_config(kle_method="randomized", kle_solver_seed=7)
+        config = tiny_config()
+        assert ArtifactRegistry(config).stats()["kle_method"] == "dense"
+        # Above the size switch the resident KLE is the randomized solve.
+        monkeypatch.setattr(galerkin, "DENSE_KLE_MAX_TRIANGLES", 64)
         registry = ArtifactRegistry(config)
         resident = registry.kle("gaussian")
         expected, _ = solve_randomized_kle(
             config.kernels["gaussian"],
             registry.mesh(),
             config.num_eigenpairs,
-            seed=7,
         )
         np.testing.assert_array_equal(resident.eigenvalues, expected.eigenvalues)
         np.testing.assert_array_equal(resident.d_vectors, expected.d_vectors)

@@ -1,4 +1,4 @@
-"""KernelOperator contract: tiled == dense == assembled matrix.
+"""TiledKernelOperator contract: tiled == assembled matrix.
 
 The tiled operator is the load-bearing abstraction of the randomized
 path — it must apply the matrix `assemble_galerkin_matrix` builds, for
@@ -14,11 +14,8 @@ from repro.core.kernels import GaussianKernel
 from repro.core.quadrature import get_rule
 from repro.mesh.structured import structured_rectangle_mesh
 from repro.solvers import (
-    DENSE_OPERATOR_THRESHOLD,
-    DenseKernelOperator,
     TiledKernelOperator,
     dense_solve_bytes,
-    make_kernel_operator,
     randomized_generalized_eigh,
     solve_randomized_kle,
 )
@@ -46,12 +43,6 @@ def test_tiled_matmat_matches_assembled_matrix(mesh, operand, rule):
     )
 
 
-def test_dense_operator_matches_assembled_matrix(mesh, operand):
-    matrix = assemble_galerkin_matrix(KERNEL, mesh)
-    dense = DenseKernelOperator(KERNEL, mesh)
-    np.testing.assert_array_equal(dense.matmat(operand), matrix @ operand)
-
-
 def test_matmat_is_deterministic_per_tile_budget(mesh, operand):
     op = TiledKernelOperator(KERNEL, mesh, max_tile_bytes=8192)
     np.testing.assert_array_equal(op.matmat(operand), op.matmat(operand))
@@ -67,38 +58,16 @@ def test_tile_budgets_agree_to_rounding(mesh, operand):
     )
 
 
-def test_matvec_is_the_single_column_matmat(mesh, operand):
-    op = TiledKernelOperator(KERNEL, mesh, max_tile_bytes=4096)
-    np.testing.assert_array_equal(
-        op.matvec(operand[:, 0]), op.matmat(operand[:, :1])[:, 0]
-    )
-    with pytest.raises(ValueError, match="1-D"):
-        op.matvec(operand)
-
-
-def test_factory_picks_by_triangle_count(mesh):
-    assert mesh.num_triangles < DENSE_OPERATOR_THRESHOLD
-    assert isinstance(
-        make_kernel_operator(KERNEL, mesh), DenseKernelOperator
-    )
-    big = structured_rectangle_mesh(-1.0, -1.0, 1.0, 1.0, 33, 32)
-    assert big.num_triangles > DENSE_OPERATOR_THRESHOLD
-    assert isinstance(make_kernel_operator(KERNEL, big), TiledKernelOperator)
-
-
 def test_peak_bytes_estimates_are_sane(mesh):
     n = mesh.num_triangles
     tiled = TiledKernelOperator(KERNEL, mesh, max_tile_bytes=8192)
-    dense = DenseKernelOperator(KERNEL, mesh)
-    assert 0 < tiled.peak_bytes(8) < dense.peak_bytes(8)
-    assert dense.peak_bytes(8) >= 8 * n * n
+    # Less than the assembled matrix alone.
+    assert 0 < tiled.peak_bytes(8) < 8 * n * n
     # Bounded tiles: doubling the vector block must not scale the tile
     # term, only the vector term.
     assert tiled.peak_bytes(16) - tiled.peak_bytes(8) == 8 * 8 * (2 * n + n)
     with pytest.raises(ValueError, match="num_vectors"):
         tiled.peak_bytes(0)
-    with pytest.raises(ValueError, match="num_vectors"):
-        dense.peak_bytes(0)
 
 
 def test_operand_shape_is_validated(mesh):
@@ -165,13 +134,11 @@ def test_tiled_matmat_is_the_broadcast_tile_product(
 
 
 def test_randomized_solve_on_the_tiled_operator_matches_broadcast_tiles():
-    """Above the dense threshold ``solve_randomized_kle`` sketches on the
-    tiled operator (default 64 MiB tiles, four on 2,112 triangles); its
-    eigenpairs are the bits of the same sketch on broadcast-call tiles."""
+    """``solve_randomized_kle`` sketches on the tiled operator (default
+    64 MiB tiles, four on 2,112 triangles); its eigenpairs are the bits of
+    the same sketch on broadcast-call tiles."""
     mesh = structured_rectangle_mesh(-1.0, -1.0, 1.0, 1.0, 33, 32)
-    assert mesh.num_triangles > DENSE_OPERATOR_THRESHOLD
-    result, report = solve_randomized_kle(KERNEL, mesh, 16, seed=0)
-    assert report.operator_kind == "tiled"
+    result, _ = solve_randomized_kle(KERNEL, mesh, 16, seed=0)
     values, vectors, _ = randomized_generalized_eigh(
         _BroadcastTileOperator(KERNEL, mesh), mesh.areas, 16, seed=0
     )

@@ -11,13 +11,13 @@ not.
 import numpy as np
 import pytest
 
-from repro.core.galerkin import GalerkinKLE, solve_kle
+from repro.core import galerkin
+from repro.core.galerkin import solve_kle
 from repro.core.kernels import GaussianKernel
 from repro.mesh.structured import structured_rectangle_mesh
 from repro.solvers import (
     RandomizedSolveReport,
     TiledKernelOperator,
-    make_kernel_operator,
     randomized_generalized_eigh,
     solve_randomized_kle,
 )
@@ -51,7 +51,7 @@ def mesh():
 
 @pytest.fixture(scope="module")
 def dense_result(mesh):
-    return solve_kle(KERNEL, mesh, num_eigenpairs=NUM_PAIRS, method="dense")
+    return solve_kle(KERNEL, mesh, num_eigenpairs=NUM_PAIRS)
 
 
 @pytest.fixture(scope="module")
@@ -114,47 +114,22 @@ def test_report_describes_the_solve(mesh, randomized):
     assert report.sketch_size == NUM_PAIRS + 12
     assert report.power_iterations == 3
     assert report.seed == 0
-    assert report.operator_kind == "dense"
     assert report.matmat_passes == 5
     assert report.resident_bytes == 8 * NUM_PAIRS * (mesh.num_triangles + 1)
     assert 0 < report.peak_bytes
     assert report.dense_bytes == 3 * mesh.num_triangles**2 * 8
 
 
-def test_forced_tiled_operator_agrees_with_dense_operator(mesh):
-    tiled_values, _, tiled_report = randomized_generalized_eigh(
-        TiledKernelOperator(KERNEL, mesh), mesh.areas, NUM_PAIRS, seed=0
-    )
-    via_dense, dense_report = solve_randomized_kle(KERNEL, mesh, NUM_PAIRS, seed=0)
-    assert tiled_report.operator_kind == "tiled"
-    assert dense_report.operator_kind == "dense"
-    np.testing.assert_allclose(
-        tiled_values, via_dense.eigenvalues, rtol=1e-10
-    )
-
-
-def test_galerkin_solve_routes_randomized(mesh, randomized):
-    result, _ = randomized
-    routed = GalerkinKLE(KERNEL, mesh).solve(
-        NUM_PAIRS, method="randomized", oversampling=12,
-        power_iterations=3, solver_seed=0,
-    )
-    np.testing.assert_array_equal(routed.eigenvalues, result.eigenvalues)
-    np.testing.assert_array_equal(routed.d_vectors, result.d_vectors)
-
-
-def test_randomized_requires_explicit_rank(mesh):
+def test_randomized_requires_explicit_rank(mesh, monkeypatch):
+    """Above the size switch ``solve_kle`` runs the randomized solver,
+    which computes leading pairs only: it needs ``num_eigenpairs``."""
+    monkeypatch.setattr(galerkin, "DENSE_KLE_MAX_TRIANGLES", 64)
     with pytest.raises(ValueError, match="num_eigenpairs"):
-        GalerkinKLE(KERNEL, mesh).solve(method="randomized")
-
-
-def test_solve_kle_rejects_unknown_method(mesh):
-    with pytest.raises(ValueError, match="unknown KLE method"):
-        solve_kle(KERNEL, mesh, num_eigenpairs=4, method="magic")
+        solve_kle(KERNEL, mesh)
 
 
 def test_option_validation(mesh):
-    operator = make_kernel_operator(KERNEL, mesh)
+    operator = TiledKernelOperator(KERNEL, mesh)
     phi = mesh.areas
     with pytest.raises(ValueError, match="num_eigenpairs"):
         randomized_generalized_eigh(operator, phi, 0)

@@ -2,6 +2,7 @@
 
 import ctypes
 import shutil
+import subprocess
 
 import pytest
 
@@ -107,6 +108,32 @@ def test_memo_reloads_when_the_flags_change(monkeypatch, tmp_path):
         fn = native.load_kernel()
         assert fn.path == str(library)
         assert native.load_kernel() is fn
+
+
+def test_a_failed_build_is_remembered_per_flag_set(monkeypatch, tmp_path):
+    """Without a working compiler ``load_kernel`` starts ``cc`` once per
+    flag set, not on every call (that is, every compiled-engine run)."""
+    compiles = []
+
+    def failing_run(args, **kwargs):
+        compiles.append(args)
+        raise subprocess.CalledProcessError(1, args)
+
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # Pinned backend and compiler identity: no probe starts a process, so
+    # every recorded call is a kernel compile.
+    monkeypatch.setenv("REPRO_NATIVE_THREAD_BACKEND", "none")
+    monkeypatch.setattr(native, "_compiler_identity_cache", "cc test")
+    monkeypatch.setattr(subprocess, "run", failing_run)
+    assert native.load_kernel() is None
+    assert native.load_kernel() is None
+    assert len(compiles) == 1
+    monkeypatch.setenv("REPRO_SANITIZE", "ubsan")
+    assert native.load_kernel() is None
+    assert native.load_kernel() is None
+    assert len(compiles) == 2
+    assert "-fsanitize=undefined" in compiles[1]
 
 
 def test_compiler_identity_survives_a_missing_compiler(monkeypatch):

@@ -141,36 +141,3 @@ def test_generalized_eigh_trace_property(n, seed):
     phi = np.random.default_rng(seed).uniform(0.5, 2.0, n)
     eigvals, _ = symmetric_generalized_eigh(mat, phi)
     assert np.sum(eigvals) == pytest.approx(np.sum(np.diag(mat) / phi), rel=1e-9)
-
-
-def test_generalized_eigh_arpack_matches_dense():
-    """Iterative Lanczos path agrees with LAPACK on the leading pairs."""
-    k = spd_matrix(40, 11)
-    phi = np.random.default_rng(12).uniform(0.5, 2.0, 40)
-    dense_vals, dense_vecs = symmetric_generalized_eigh(
-        k, phi, num_eigenpairs=6
-    )
-    arpack_vals, arpack_vecs = symmetric_generalized_eigh(
-        k, phi, num_eigenpairs=6, method="arpack"
-    )
-    assert np.allclose(arpack_vals, dense_vals, rtol=1e-8)
-    # Eigenvectors match up to sign.
-    for j in range(6):
-        dot = abs(
-            np.dot(phi * dense_vecs[:, j], arpack_vecs[:, j])
-        )
-        assert dot == pytest.approx(1.0, abs=1e-6)
-
-
-def test_generalized_eigh_arpack_requires_k():
-    with pytest.raises(ValueError, match="requires num_eigenpairs"):
-        symmetric_generalized_eigh(
-            np.eye(5), np.ones(5), method="arpack"
-        )
-
-
-def test_generalized_eigh_unknown_method():
-    with pytest.raises(ValueError, match="dense.*arpack|arpack.*dense"):
-        symmetric_generalized_eigh(
-            np.eye(3), np.ones(3), method="magma"
-        )
