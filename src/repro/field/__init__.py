@@ -6,7 +6,8 @@
 - :class:`CholeskySampleGenerator` / :class:`KLESampleGenerator` — the
   paper's Algorithm 1 and Algorithm 2 parameter-sample generators.
 - :class:`FieldSamples` / :class:`GateBasis` — Algorithm 2 samples kept
-  factored as ξ plus the ξ → gate map (:func:`gate_basis`).
+  factored as ξ plus the ξ → gate map (:func:`gate_basis`); the timing
+  engine reads them as field rows through a :class:`RowMap`.
 """
 
 from repro.field.random_field import RandomField
@@ -21,6 +22,7 @@ from repro.field.sampling import (
     FieldSamples,
     GateBasis,
     KLESampleGenerator,
+    RowMap,
     SampleGenerationResult,
     gate_basis,
 )
@@ -36,5 +38,6 @@ __all__ = [
     "SampleGenerationResult",
     "FieldSamples",
     "GateBasis",
+    "RowMap",
     "gate_basis",
 ]

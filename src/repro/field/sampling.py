@@ -15,11 +15,19 @@ parameters are mutually independent (paper §2.1 assumption).
   ``D_λ`` and each gate's containing triangle (eq. 28).  The samples stay
   in that factored form, :class:`FieldSamples`: the ``(N, Σr)`` ξ draw
   plus the placement's ξ → gate map, :class:`GateBasis`.  A parameter's
-  ``(N, N_g)`` field is built only when a caller reads it; the timing
-  engine instead projects ξ straight to ``u = Ξ W`` with one GEMM per
-  sample set.  ``generate_seconds`` therefore covers only the ξ draw on
-  this path — the GEMM is timing work — so compare whole-flow totals
-  (``SSTARun.total_seconds``, the Table-1 speedup), not the split.
+  ``(N, N_g)`` field is built only when a caller reads it.  The timing
+  engine instead reads **field rows** (:meth:`FieldSamples.field_rows`):
+  a C-ordered ``(rows, N)`` array whose sample lanes are contiguous,
+  built with one GEMM per parameter (or one in all) per sample set,
+  plus a :class:`RowMap` that gives each gate's ``u`` as a weighted sum
+  of ``P`` of those rows.  :class:`GateBasis` picks the smaller of two
+  row sets from the placement alone: Alg. 2's own per-triangle fields
+  ``D_λ ξ`` on the triangles that hold a gate (``P`` = the number of
+  parameters) when they number fewer than the gates, else one row per
+  gate, ``W ξᵀ`` (``P = 1``).  ``generate_seconds`` therefore covers
+  only the ξ draw on this path — the GEMMs are timing work — so compare
+  whole-flow totals (``SSTARun.total_seconds``, the Table-1 speedup),
+  not the split.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ class SampleGenerationResult:
         One-time cost (Cholesky factorization / gate-to-triangle lookup).
     generate_seconds:
         Per-run sampling cost.  Algorithm 1: the draws and the Cholesky
-        products.  Algorithm 2: the ξ draw only — its projection to the
-        gates runs inside :meth:`~repro.timing.sta.STAEngine.run`.
+        products.  Algorithm 2: the ξ draw only — its field rows are
+        built inside :meth:`~repro.timing.sta.STAEngine.run`.
     """
 
     samples: Mapping[str, np.ndarray]
@@ -215,16 +223,39 @@ class ParameterBasis:
         return np.take(block @ self.d_lambda.T, self.triangles, axis=1)
 
 
+@dataclass(frozen=True)
+class RowMap:
+    """How the timing engine reads each gate's ``u`` from field rows.
+
+    The rows ``R`` stack one block per entry ``(start, stop, F)`` of
+    ``factors``, in order: ``F @ ξ[:, start:stop]ᵀ``.  Gate ``g``'s
+    projection is ``u_g = Σ_k weight[k, g] · R[index[k, g]]`` over the
+    ``P`` terms, summed for k = 0 … P−1 in that order; ``index`` and
+    ``weight`` are C-ordered ``(P, N_g)`` int64 and float64 tables.
+    """
+
+    factors: Tuple[Tuple[int, int, np.ndarray], ...]
+    index: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        """The number of field rows, ``R``'s first dimension."""
+        return sum(factor.shape[0] for _, _, factor in self.factors)
+
+
 class GateBasis:
     """Algorithm 2's ξ → gate map on one placement (paper eq. 28).
 
     Parameter ``j``'s gate field is ``(ξ_j D_λ,jᵀ)[:, tri_j]``; with a
     parameter cross-correlation ``C`` the fields are then mixed by its
     lower Cholesky factor ``mix`` (the separable ``C ⊗ K`` model).  Every
-    step is linear in ξ, so the rank-one projection
-    ``u = Σ_j w_j ⊙ p_j`` of per-gate weights ``w`` is ``u = Ξ W`` with
-    ``Wᵀ = sensitivity(w)`` — one GEMM instead of four gathered fields.
-    Build one with :func:`gate_basis`.
+    step is linear in ξ, so the rank-one projection ``u = Σ_j w_j ⊙ p_j``
+    of per-gate weights ``w`` is ``u = Ξ W`` with ``Wᵀ = sensitivity(w)``,
+    or, per triangle, ``u_g = Σ_k e_k(g) · (D_λ,k ξ_k)[tri_k(g)]`` with
+    the mixed weights ``e``.  :meth:`row_map` picks the cheaper of the
+    two from the placement alone (:attr:`row_form`).  Build one with
+    :func:`gate_basis`.
     """
 
     def __init__(
@@ -239,6 +270,22 @@ class GateBasis:
         self.num_gates = int(self.parameters[0].triangles.size)
         #: Σr: the width of a ξ draw.
         self.dimension = sum(p.rank for p in self.parameters)
+        # Per parameter: the triangles that hold a gate, ascending, and
+        # each gate's position among them.
+        self._used_triangles = [
+            np.unique(p.triangles, return_inverse=True)
+            for p in self.parameters
+        ]
+        #: Σ_k used_k: the rows of the triangle form.
+        self.num_triangle_rows = sum(
+            used.size for used, _ in self._used_triangles
+        )
+        #: ``"triangle"`` when the triangles that hold a gate, counted
+        #: once per parameter, number fewer than the gates; else
+        #: ``"gate"``.  The form :meth:`row_map` builds.
+        self.row_form = (
+            "triangle" if self.num_triangle_rows < self.num_gates else "gate"
+        )
 
     def field(self, xi: np.ndarray, name: str) -> np.ndarray:
         """Materialize parameter ``name``'s ``(N, N_g)`` field from ξ."""
@@ -247,20 +294,29 @@ class GateBasis:
             return self.parameters[j].field(xi)
         return _mixed(self.mix, j, lambda k: self.parameters[k].field(xi))
 
-    def sensitivity(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``Wᵀ``: the ``(N_g, Σr)`` coupling of each gate's ``u`` to ξ.
+    def _mixed_weights(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``e``: the ``(P, N_g)`` weights of the unmixed fields.
 
-        Row ``g`` is ``[e_k(g) · D_λ,k[tri_k(g)]]_k`` where ``e = w``
-        without a mix and ``e_k = Σ_j mix[j, k] w_j`` with one.  Without
-        a mix every entry is one elementwise product.
+        ``e = w`` without a mix and ``e_k = Σ_j mix[j, k] w_j`` with one.
         """
         columns = np.stack(
             [np.asarray(weights[name], dtype=float) for name in self.names]
         )
         if self.mix is not None:
             columns = self.mix.T @ columns
+        return columns
+
+    def sensitivity(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``Wᵀ``: the ``(N_g, Σr)`` coupling of each gate's ``u`` to ξ.
+
+        Row ``g`` is ``[e_k(g) · D_λ,k[tri_k(g)]]_k`` with the mixed
+        weights ``e``.  Without a mix every entry is one elementwise
+        product.
+        """
         out = np.empty((self.num_gates, self.dimension))
-        for parameter, column in zip(self.parameters, columns):
+        for parameter, column in zip(
+            self.parameters, self._mixed_weights(weights)
+        ):
             stop = parameter.offset + parameter.rank
             np.multiply(
                 column[:, None],
@@ -268,6 +324,44 @@ class GateBasis:
                 out=out[:, parameter.offset : stop],
             )
         return out
+
+    def row_map(self, weights: Mapping[str, np.ndarray]) -> RowMap:
+        """The :class:`RowMap` of per-gate weights ``w`` in :attr:`row_form`."""
+        if self.row_form == "triangle":
+            return self._triangle_row_map(weights)
+        return self._gate_row_map(weights)
+
+    def _gate_row_map(self, weights: Mapping[str, np.ndarray]) -> RowMap:
+        """One row per gate, ``R = W ξᵀ``: ``P = 1`` at weight 1.0."""
+        return RowMap(
+            ((0, self.dimension, self.sensitivity(weights)),),
+            np.arange(self.num_gates, dtype=np.int64)[None, :],
+            np.ones((1, self.num_gates)),
+        )
+
+    def _triangle_row_map(self, weights: Mapping[str, np.ndarray]) -> RowMap:
+        """Alg. 2's rows: each parameter's field on its used triangles.
+
+        Parameter ``k``'s block is ``D_λ,k[used_k] ξ_kᵀ``; gate ``g``
+        reads its triangle's row of every block, weighted by ``e_k(g)``.
+        """
+        factors: List[Tuple[int, int, np.ndarray]] = []
+        index: List[np.ndarray] = []
+        first = 0
+        for parameter, (used, position) in zip(
+            self.parameters, self._used_triangles
+        ):
+            stop = parameter.offset + parameter.rank
+            factors.append(
+                (parameter.offset, stop, parameter.d_lambda[used])
+            )
+            index.append(first + position)
+            first += used.size
+        return RowMap(
+            tuple(factors),
+            np.stack(index).astype(np.int64),
+            self._mixed_weights(weights),
+        )
 
 
 def gate_basis(
@@ -308,11 +402,12 @@ class FieldSamples(Mapping[str, np.ndarray]):
 
     A read-only mapping parameter name → ``(N, N_g)`` gate field that
     builds a field only when it is read, so a consumer that needs only
-    the projection ``u`` (the timing engine, via :meth:`projection`)
+    the projection ``u`` (the timing engine, via :meth:`field_rows`)
     never holds a per-parameter matrix.  ``parts`` are the ``(N_i, Σr)``
     ξ draws of one or more sample sets stacked along the sample axis
     (:meth:`concatenate`, for a batched sweep); each part keeps its own
-    GEMM, so its rows of ``u`` do not depend on what it is batched with.
+    GEMMs, so its lanes of the field rows do not depend on what it is
+    batched with.
     """
 
     def __init__(self, basis: GateBasis, parts: Sequence[np.ndarray]):
@@ -360,20 +455,26 @@ class FieldSamples(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self.basis.names)
 
-    def projection(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``u = Σ_j w_j ⊙ p_j`` for every sample, as ``u = Ξ W``.
+    def field_rows(self, row_map: RowMap) -> np.ndarray:
+        """The C-ordered ``(rows, N)`` field rows ``R`` of ``row_map``.
 
-        One GEMM per part, each written into its own row slice of the
-        C-ordered ``(N, N_g)`` result.
+        One GEMM per factor and part, each written into its own block of
+        rows and its part's lanes; the engine reads gate ``g``'s ``u``
+        as ``Σ_k weight[k, g] · R[index[k, g]]``.
         """
-        sensitivity = self.basis.sensitivity(weights)
-        u = np.empty((self.num_samples, self.basis.num_gates))
+        rows = np.empty((row_map.num_rows, self.num_samples))
         start = 0
         for part in self.parts:
             stop = start + part.shape[0]
-            np.matmul(part, sensitivity.T, out=u[start:stop])
+            first = 0
+            for lo, hi, factor in row_map.factors:
+                last = first + factor.shape[0]
+                np.matmul(
+                    factor, part[:, lo:hi].T, out=rows[first:last, start:stop]
+                )
+                first = last
             start = stop
-        return u
+        return rows
 
 
 class KLESampleGenerator:

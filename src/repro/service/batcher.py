@@ -6,7 +6,8 @@ round, every live request contributes its next chunk of parameter
 samples, the concatenated block runs through the resident engine *once*,
 and the rows are split back per request.  KLE chunks stay factored
 (:class:`~repro.field.sampling.FieldSamples`): each request's ξ is its
-own part, projected by its own GEMM into its rows of the sweep's ``u``.
+own part, mapped by its own GEMMs into its lanes of the sweep's field
+rows.
 
 Determinism is structural, not statistical.  Each request consumes its
 own :class:`~repro.timing.ssta.SampleStream` — the very object a serial

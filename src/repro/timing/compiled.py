@@ -13,11 +13,12 @@ the flat tables that ``sta_kernel.c`` reads, so that
 block in one fused C pass (:mod:`repro.timing.native`).  The tables are
 level-major, and each gate's pins are contiguous:
 
-- per gate: fanin count, model id (a column of ``u``), output arena slot
-  and net column, the affine model coefficients with the nominal load
-  folded in (``d0 + d_load·C_total``, ``s0 + s_load·C_total``), the
-  metal share of that load (``d_load·C_wire``, ``s_load·C_wire``) and
-  the statistical coefficients ``k1, k2, m1, m2``
+- per gate: fanin count, model id (a column of ``u`` and of the row
+  map), output arena slot and net column, the affine model coefficients
+  with the nominal load folded in (``d0 + d_load·C_total``,
+  ``s0 + s_load·C_total``), the metal share of that load
+  (``d_load·C_wire``, ``s_load·C_wire``) and the statistical
+  coefficients ``k1, k2, m1, m2``
   (:func:`~repro.timing.library.pack_gate_models`);
 - per pin: the source net's arena slot and net column, its nominal
   Elmore delay and squared Bakoglu step, and the ``R·C_wire/2`` and
@@ -29,19 +30,27 @@ Two structural decisions set the speed:
 
 1. **Sample blocking.**  ``execute`` streams the sample axis in blocks
    sized (``NATIVE_BLOCK_BYTE_BUDGET``) so the arenas and the block's
-   rows of ``u`` stay cache-resident.  Per-sample results are
+   statistical input stay cache-resident.  Per-sample results are
    independent, so blocked and unblocked runs are bitwise identical.
-2. **One projection per sample set.**  Algorithm 2 samples arrive
-   factored (:class:`~repro.field.sampling.FieldSamples`), and the
-   engine hands ``execute`` their ``u = Ξ W`` — one GEMM per generated
-   sample set — whose row blocks are read in place; no per-parameter
-   ``(N, N_g)`` matrix exists.  The GEMM is deliberately not repeated
-   per block: BLAS rounds a row differently depending on how many rows
-   share the call and on its thread count, so per-block GEMMs would tie
-   the results to the block size (which depends on the kernel's thread
-   count) and to a request's offset in a batched sweep.  Plain
-   per-parameter matrices (Algorithm 1, hand-built dicts) are instead
-   accumulated into ``u`` block by block, straight from the caller's
+2. **Field rows built once per sample set.**  Algorithm 2 samples
+   arrive factored (:class:`~repro.field.sampling.FieldSamples`), and
+   the engine hands ``execute`` their field rows: a C-ordered
+   ``(rows, N)`` array whose sample lanes are contiguous, built with
+   one GEMM per parameter (or one in all) per generated sample set,
+   plus a row map of ``P`` ``(row, weight)`` terms per gate from which
+   the kernel forms each gate's ``u`` in its scale loop.  The rows are
+   the paper's per-triangle fields ``D_λ ξ`` on the triangles that
+   hold a gate when those are fewer than the gates (``P`` = the number
+   of parameters), else one row per gate (``W ξᵀ``, ``P = 1``); no
+   per-parameter ``(N, N_g)`` matrix and no ``(N, N_g)`` ``u`` exists.
+   A block only moves its lane offset along the rows.  The GEMMs are
+   deliberately not repeated per block: BLAS rounds an entry
+   differently depending on how many columns share the call and on
+   its thread count, so per-block GEMMs would tie the results to the
+   block size (which depends on the kernel's thread count) and to a
+   request's offset in a batched sweep.  Plain per-parameter matrices
+   (Algorithm 1, hand-built dicts) are instead accumulated into a
+   row-major ``u`` block by block, straight from the caller's
    matrices.
 
 Memory: the arrival/slew arenas are indexed by *slot*, not net.  The slot
@@ -69,14 +78,17 @@ import numpy as np
 
 from repro.circuit.levelize import LevelizedCircuit
 from repro.circuit.netlist import Netlist
+from repro.field.sampling import RowMap
 from repro.timing import native
 from repro.timing.library import GateTimingModel, pack_gate_models
 from repro.timing.wire import LN9, WireModel, pack_wire_models
 
-#: Byte budget for the native kernel's per-block working set.  The
-#: kernel reads ``u`` column-wise (stride ``N_g`` doubles), so the
-#: block's ``(N_b, N_g)`` rows of ``u`` must stay cache-resident or every
-#: element costs a full cache-line fetch.
+#: Byte budget for the native kernel's per-block working set: the
+#: arenas plus the block's statistical input.  The kernel reads a dense
+#: ``u`` column-wise (stride ``N_g`` doubles), so the block's
+#: ``(N_b, N_g)`` rows of ``u`` must stay cache-resident or every
+#: element costs a full cache-line fetch; field rows are read along
+#: their lanes, and gates that share a triangle share its rows.
 #: Measured on s15850/N=2000 the optimum is flat across 32–128 samples
 #: per block and ~35% faster than RAM-sized blocks.  With ``T`` kernel
 #: threads the budget is divided by ``T``: each worker owns ``1/T`` of
@@ -86,6 +98,16 @@ NATIVE_BLOCK_BYTE_BUDGET = 12 * 1024 * 1024
 
 #: A kernel argument: a table or a count.
 _Table = Union[np.ndarray, int]
+
+#: The field-row arguments of a run without field rows.
+_NO_FIELD_ROWS: Dict[str, Optional[_Table]] = {
+    "field_rows": None,
+    "num_field_rows": 0,
+    "row_stride": 0,
+    "row_index": np.zeros(0, dtype=np.int64),
+    "row_weight": np.zeros(0),
+    "num_terms": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -307,9 +329,13 @@ class CompiledTimingProgram:
         """Sample block size for the native kernel (see the budget note).
 
         ``threads`` divides the byte budget so each worker's share of
-        the block — its lane slice of the arenas and ``u``, plus its
-        private ``6 × B`` scratch block — still fits the per-core cache
-        it actually runs out of.
+        the block — its lane slice of the arenas and the statistical
+        input, plus its private ``6 × B`` scratch block — still fits the
+        per-core cache it actually runs out of.  The input counts as
+        ``2 · N_g`` doubles per sample: the dense path's ``u`` and its
+        accumulator.  Field rows get the same blocks; sizing them by
+        their row count instead made s9234's 2,048 triangle rows run in
+        540-lane blocks, 74–78 ms a run against 61–67 ms at 130 lanes.
         """
         per_sample = 8 * (
             2 * self.num_model_gates
@@ -323,10 +349,13 @@ class CompiledTimingProgram:
     def native_scratch_bytes(self, threads: int = 1) -> int:
         """Transient bytes one native ``execute`` holds at ``threads``.
 
-        The arenas, the per-worker scratch blocks, and the per-block
-        ``u`` projection buffers for a full-sized (budget-bound) block.
-        Not part of :meth:`resident_bytes` — these buffers live only for
-        the duration of a run — but the service accounts them so a
+        The arenas, the per-worker scratch blocks, and the dense path's
+        per-block ``u`` buffers for a full-sized (budget-bound) block:
+        the most any block-sized buffer set takes (factored samples'
+        blocks hold no ``u`` buffers, and their field rows, one run's
+        ``rows × N``, are the caller's).  Not part of
+        :meth:`resident_bytes` — these buffers live only for the
+        duration of a run — but the service accounts them so a
         thread-count change shows up in capacity planning.
         """
         threads = max(int(threads), 1)
@@ -344,7 +373,9 @@ class CompiledTimingProgram:
         parameter_products: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray]]
         ] = None,
-        projection: Optional[np.ndarray] = None,
+        field_rows: Optional[np.ndarray] = None,
+        row_map: Optional[RowMap] = None,
+        lane_offset: int = 0,
         r_scales: Optional[np.ndarray] = None,
         c_scales: Optional[np.ndarray] = None,
         input_slew_ps: float,
@@ -364,11 +395,14 @@ class CompiledTimingProgram:
             matrix and its per-gate sensitivity weight column — whose
             products accumulate into the rank-one projection ``u = wᵀp``
             block by block.
-        projection:
-            A precomputed C-ordered ``(N, N_g)`` ``u`` (factored samples,
-            projected once per sample set); its row blocks are read in
-            place.  Pass at most one of ``parameter_products`` and
-            ``projection``; neither runs a nominal analysis.
+        field_rows / row_map / lane_offset:
+            Factored samples' C-ordered ``(rows, N')`` field rows, built
+            once per sample set, and the
+            :class:`~repro.field.sampling.RowMap` the kernel forms each
+            gate's ``u`` with; this run reads lanes ``[lane_offset,
+            lane_offset + num_samples)`` of every row in place.  Pass at
+            most one of ``parameter_products`` and ``field_rows``;
+            neither runs a nominal analysis.
         r_scales / c_scales:
             Optional ``(N, num_nets)`` wire R/C scale matrices in
             ``net_order`` column order (already validated by the engine).
@@ -391,7 +425,8 @@ class CompiledTimingProgram:
         ``6 × B`` scratch block; per-lane arithmetic is identical under
         every partition.  The arguments are checked against
         :data:`~repro.timing.native.KERNEL_ARGS` once here, and per
-        block only ``num_rows``, ``u`` and the scale rows.
+        block only ``num_rows``, ``u``, the scale rows and the lane
+        offset.
         """
         kernel = native.load_kernel()
         self.last_run_native = kernel is not None
@@ -400,6 +435,19 @@ class CompiledTimingProgram:
         keep_all = bool(keep_all_arrivals)
         threads = native.resolve_thread_count(native_threads)
         width = self.num_nets if keep_all else self.num_slots
+        if field_rows is None:
+            rows_args = _NO_FIELD_ROWS
+        elif row_map is None:
+            raise ValueError("field_rows need the row_map they were built for")
+        else:
+            rows_args = {
+                "field_rows": field_rows,
+                "num_field_rows": row_map.num_rows,
+                "row_stride": np.shape(field_rows)[-1],
+                "row_index": row_map.index,
+                "row_weight": row_map.weight,
+                "num_terms": row_map.index.shape[0],
+            }
         block = self._native_block_size(num_samples, width, threads)
         arena_a = np.empty(width * block)
         arena_s = np.empty(width * block)
@@ -408,6 +456,7 @@ class CompiledTimingProgram:
             kernel,
             num_rows=block,
             num_model_gates=self.num_model_gates,
+            **rows_args,
             num_nets=self.num_nets,
             input_slew=float(input_slew_ps),
             **self._tables,
@@ -422,7 +471,7 @@ class CompiledTimingProgram:
             for m in (r_scales, c_scales)
         ]
         u_buffer = tmp_buffer = None
-        if parameter_products and projection is None:
+        if parameter_products and field_rows is None:
             u_buffer = np.empty((block, self.num_model_gates))
             tmp_buffer = np.empty((block, self.num_model_gates))
         worst_idx = self._end_cols if keep_all else self._end_slots
@@ -434,9 +483,7 @@ class CompiledTimingProgram:
             stop = min(start + block, num_samples)
             rows = stop - start
             u = None
-            if projection is not None:
-                u = projection[start:stop]
-            elif parameter_products:
+            if u_buffer is not None:
                 u = u_buffer[:rows]
                 tmp = tmp_buffer[:rows]
                 for j, (matrix, weights) in enumerate(parameter_products):
@@ -449,6 +496,7 @@ class CompiledTimingProgram:
                 rows,
                 u,
                 *(None if m is None else m[start:stop] for m in scales),
+                lane_offset=0 if field_rows is None else lane_offset + start,
             )
             arrivals = arena_a[: width * rows].reshape(width, rows)
             ends = arrivals[worst_idx]

@@ -4,9 +4,10 @@
 ``sta_kernel.c`` evaluates sample block by sample block — a single fused
 pass per gate, wire R/C variation included.  This module compiles that
 kernel on first use with the system ``cc`` into the artifact cache
-directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) and loads it
-with :mod:`ctypes`; nothing is installed and no third-party build
-tooling is used.
+directory (``REPRO_CACHE_DIR``, default ``.repro_cache``; an empty value
+disables the cache, and each process then builds into a temporary
+directory of its own) and loads it with :mod:`ctypes`; nothing is
+installed and no third-party build tooling is used.
 
 If there is no compiler, the build fails, or ``REPRO_NO_NATIVE=1`` is
 set, :func:`load_kernel` returns ``None`` and ``engine="compiled"``
@@ -31,9 +32,10 @@ are bitwise independent of the thread count.
 Argument contract: :data:`KERNEL_ARGS` declares every C parameter once
 — name, ctypes type and, for pointers, the minimum extent as a function
 of the other arguments.  :class:`BoundKernel` checks dtype, contiguity,
-extent, writeability and the bounds of the model-id and net-column
-tables against it before the kernel is entered and
-raises :class:`KernelArgumentError` naming the argument; the ctypes
+extent, writeability, the bounds of the model-id, net-column and
+field-row index tables, and that a block's lanes stay within a field
+row, against it before the kernel is entered and raises
+:class:`KernelArgumentError` naming the argument; the ctypes
 ``argtypes`` are derived from the same table.
 
 Setting ``REPRO_SANITIZE=ubsan`` (or ``asan``, comma-separable) switches
@@ -122,10 +124,25 @@ _cached: Optional[object] = None
 _cached_key: Optional[Tuple[str, ...]] = None
 _compiler_identity_cache: Optional[str] = None
 _thread_backend_cache: Optional[str] = None
+#: This process's build directory when ``REPRO_CACHE_DIR`` is empty;
+#: removed when the process exits.
+_process_build_dir: Optional[tempfile.TemporaryDirectory[str]] = None
 
 
 def _cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
+    """The kernel cache root: ``REPRO_CACHE_DIR``, or a per-process
+    temporary directory when it is set but empty (cache disabled)."""
+    global _process_build_dir
+    root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
+    if root:
+        return Path(root)
+    if _process_build_dir is None:
+        # Per-process memo: one private build directory per process,
+        # never shared and never read across processes.
+        _process_build_dir = tempfile.TemporaryDirectory(
+            prefix="repro_native_"
+        )
+    return Path(_process_build_dir.name)
 
 
 def sanitize_mode() -> Tuple[str, ...]:
@@ -139,9 +156,11 @@ def sanitize_mode() -> Tuple[str, ...]:
     uninstrumented kernel would defeat the whole point of the mode.
 
     Note on ``asan``: loading an ASan-instrumented ``.so`` into an
-    uninstrumented Python requires ``LD_PRELOAD``-ing the ASan runtime;
-    CI therefore exercises ``ubsan``, which gcc links self-contained
-    into shared objects.
+    uninstrumented Python requires ``LD_PRELOAD``-ing the ASan runtime
+    (``cc -print-file-name=libasan.so``), with ``ASAN_OPTIONS=
+    detect_leaks=0``; ``ubsan`` needs neither, since gcc links it
+    self-contained into shared objects.  CI runs the kernel tests under
+    both.
     """
     raw = os.environ.get("REPRO_SANITIZE", "")
     groups: List[str] = []
@@ -418,7 +437,9 @@ class KernelArg:
     ndarrays of exactly the pointee dtype holding at least ``extent``
     elements; ``nullable`` ones may be ``None`` (passed as ``NULL``) and
     ``writeable`` ones are the kernel's outputs.  Index tables with a
-    ``limit`` must keep their first ``extent`` entries below it.
+    ``limit`` must keep their first ``extent`` entries below it; a
+    scalar with one must lie in ``[0, limit)``.  ``per_block`` rows
+    change with every sample block and are checked on every call.
     """
 
     name: str
@@ -427,6 +448,7 @@ class KernelArg:
     nullable: bool = False
     writeable: bool = False
     limit: Optional[Extent] = None
+    per_block: bool = False
 
 
 def _count(name: str) -> Extent:
@@ -445,6 +467,24 @@ def _arena_extent(sizes: _Sizes) -> int:
 def _u_extent(sizes: _Sizes) -> int:
     """One ``num_model_gates``-wide projection row per sample."""
     return sizes.count("num_rows") * sizes.count("num_model_gates")
+
+
+def _field_rows_extent(sizes: _Sizes) -> int:
+    """``num_field_rows`` rows of ``row_stride`` lanes."""
+    return sizes.count("num_field_rows") * sizes.count("row_stride")
+
+
+def _row_map_extent(sizes: _Sizes) -> int:
+    """One ``num_model_gates``-wide row per row-map term."""
+    return sizes.count("num_terms") * sizes.count("num_model_gates")
+
+
+def _lane_limit(sizes: _Sizes) -> int:
+    """A block's lanes ``[lane_offset, lane_offset + num_rows)`` must
+    stay within a field row; without field rows the offset is 0."""
+    if sizes.count("num_field_rows") == 0:
+        return 1
+    return sizes.count("row_stride") - sizes.count("num_rows") + 1
 
 
 def _scale_extent(sizes: _Sizes) -> int:
@@ -486,10 +526,23 @@ _NETS = _count("num_nets")
 KERNEL_ARGS: Tuple[KernelArg, ...] = (
     KernelArg("num_rows", _I64),
     KernelArg("num_model_gates", _I64),
-    KernelArg("u", _P_F64, _u_extent, nullable=True),
+    KernelArg("u", _P_F64, _u_extent, nullable=True, per_block=True),
+    KernelArg("field_rows", _P_F64, _field_rows_extent, nullable=True),
+    KernelArg("num_field_rows", _I64),
+    KernelArg("row_stride", _I64),
+    KernelArg("lane_offset", _I64, limit=_lane_limit, per_block=True),
+    KernelArg(
+        "row_index", _P_I64, _row_map_extent, limit=_count("num_field_rows")
+    ),
+    KernelArg("row_weight", _P_F64, _row_map_extent),
+    KernelArg("num_terms", _I64),
     KernelArg("num_nets", _I64),
-    KernelArg("r_scale", _P_F64, _scale_extent, nullable=True),
-    KernelArg("c_scale", _P_F64, _scale_extent, nullable=True),
+    KernelArg(
+        "r_scale", _P_F64, _scale_extent, nullable=True, per_block=True
+    ),
+    KernelArg(
+        "c_scale", _P_F64, _scale_extent, nullable=True, per_block=True
+    ),
     KernelArg("input_slew", _F64),
     KernelArg("pi_slots", _P_I64, _count("num_pi")),
     KernelArg("num_pi", _I64),
@@ -534,11 +587,21 @@ KERNEL_ARGS: Tuple[KernelArg, ...] = (
 
 _ARG_INDEX = {arg.name: index for index, arg in enumerate(KERNEL_ARGS)}
 _ROWS = _ARG_INDEX["num_rows"]
-#: The per-block pointer rows, in C order: re-checked on every call.
+#: The per-block rows, in C order: re-checked on every call.
 _PER_BLOCK = tuple(
-    (_ARG_INDEX[name], KERNEL_ARGS[_ARG_INDEX[name]])
-    for name in ("u", "r_scale", "c_scale")
+    (index, arg) for index, arg in enumerate(KERNEL_ARGS) if arg.per_block
 )
+
+
+def _check_scalar(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
+    """Validate one scalar argument against its ``limit``, if any."""
+    if arg.limit is not None:
+        limit = arg.limit(sizes)
+        if not 0 <= int(value) < limit:
+            raise KernelArgumentError(
+                arg.name, f"{value} is outside [0, {limit})"
+            )
+    return value
 
 
 def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
@@ -583,49 +646,52 @@ def _check_array(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
     return value.ctypes.data_as(arg.ctype)
 
 
-def _checked_args(args: Mapping[str, Any]) -> List[Any]:
-    """Check a full argument mapping against :data:`KERNEL_ARGS`.
-
-    Returns the positional argument list, in C order, ready for the
-    ctypes call; raises :class:`KernelArgumentError` naming the first
-    argument that is missing or breaks its row.
-    """
-    for arg in KERNEL_ARGS:
-        if arg.name not in args:
-            raise KernelArgumentError(arg.name, "missing")
-    unknown = sorted(set(args) - set(_ARG_INDEX))
-    if unknown:
-        raise KernelArgumentError(unknown[0], "not a kernel parameter")
-    sizes = _Sizes(args)
-    return [
-        args[arg.name]
-        if arg.extent is None
-        else _check_array(arg, args[arg.name], sizes)
-        for arg in KERNEL_ARGS
-    ]
+def _check(arg: KernelArg, value: Any, sizes: _Sizes) -> Any:
+    """Validate one argument; return what ctypes should receive."""
+    if arg.extent is None:
+        return _check_scalar(arg, value, sizes)
+    return _check_array(arg, value, sizes)
 
 
 class BoundKernel:
     """A kernel callable bound to its block-invariant arguments.
 
-    Construction checks every argument once, with ``num_rows`` as the
-    largest block the caller will run; each call then re-checks only
-    what changes per block — ``num_rows`` (at most the bound value, so
-    every extent that scales with it still holds), ``u`` and the wire
-    scale rows ``r_scale``/``c_scale`` — before invoking ``kernel``.
-    Pass every C parameter but those three by name.  ``kernel`` may be
-    any callable taking the C argument list, which is how tests observe
-    calls without a compiler.
+    Construction checks every argument but the ``per_block`` rows once,
+    with ``num_rows`` as the largest block the caller will run; each
+    call then checks only what changes per block — ``num_rows`` (at
+    most the bound value, so every extent that scales with it still
+    holds), ``u``, the wire scale rows ``r_scale``/``c_scale`` and the
+    block's ``lane_offset`` into the field rows — before invoking
+    ``kernel``.  Pass every C parameter but those per-block rows by
+    name.  ``kernel`` may be any callable taking the C argument list,
+    which is how tests observe calls without a compiler.
     """
 
     def __init__(self, kernel: Callable[..., None], **args: Any):
+        for arg in KERNEL_ARGS:
+            if arg.per_block:
+                if arg.name in args:
+                    raise KernelArgumentError(
+                        arg.name, "is passed per block, not bound"
+                    )
+            elif arg.name not in args:
+                raise KernelArgumentError(arg.name, "missing")
+        unknown = sorted(set(args) - set(_ARG_INDEX))
+        if unknown:
+            raise KernelArgumentError(unknown[0], "not a kernel parameter")
+        sizes = _Sizes(args)
         self._kernel = kernel
         self._max_rows = int(args["num_rows"])
-        self._args = _checked_args(
-            {**args, "u": None, "r_scale": None, "c_scale": None}
-        )
-        self._num_model_gates = int(args["num_model_gates"])
-        self._num_nets = int(args["num_nets"])
+        self._args = [
+            None if arg.per_block else _check(arg, args[arg.name], sizes)
+            for arg in KERNEL_ARGS
+        ]
+        #: The bound scalars, which the per-block extent rules read.
+        self._scalars = {
+            arg.name: args[arg.name]
+            for arg in KERNEL_ARGS
+            if arg.extent is None and not arg.per_block
+        }
 
     def __call__(
         self,
@@ -633,11 +699,13 @@ class BoundKernel:
         u: Optional[np.ndarray],
         r_scale: Optional[np.ndarray] = None,
         c_scale: Optional[np.ndarray] = None,
+        lane_offset: int = 0,
     ) -> None:
         """Run one block of ``num_rows`` samples.
 
-        ``u`` is the block's projection and ``r_scale``/``c_scale`` its
-        wire-scale rows; each may be ``None``.
+        ``u`` is the block's dense projection, ``r_scale``/``c_scale``
+        its wire-scale rows (each may be ``None``), and ``lane_offset``
+        the lane of its first sample in every field row.
         """
         if not 0 <= num_rows <= self._max_rows:
             raise KernelArgumentError(
@@ -647,15 +715,15 @@ class BoundKernel:
             )
         args = list(self._args)
         args[_ROWS] = num_rows
-        sizes = _Sizes(
-            {
-                "num_rows": num_rows,
-                "num_model_gates": self._num_model_gates,
-                "num_nets": self._num_nets,
-            }
-        )
-        for (index, arg), value in zip(_PER_BLOCK, (u, r_scale, c_scale)):
-            args[index] = _check_array(arg, value, sizes)
+        values = {
+            "u": u,
+            "r_scale": r_scale,
+            "c_scale": c_scale,
+            "lane_offset": lane_offset,
+        }
+        sizes = _Sizes({**self._scalars, "num_rows": num_rows, **values})
+        for index, arg in _PER_BLOCK:
+            args[index] = _check(arg, values[arg.name], sizes)
         self._kernel(*args)
 
 

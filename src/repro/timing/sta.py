@@ -33,6 +33,7 @@ axis in bounded chunks, so paper-scale ``N = 100K`` runs never hold all
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
-from repro.field.sampling import FieldSamples
+from repro.field.sampling import FieldSamples, GateBasis, RowMap
 from repro.place.placer import Placement
 from repro.timing.compiled import CompiledTimingProgram
 from repro.timing.library import (
@@ -112,20 +113,26 @@ class _SampleInput:
 
     ``products`` pairs each ``(N, N_g)`` parameter matrix with its
     per-gate weight column (plain mappings, projected per block);
-    ``projection`` is factored samples' precomputed ``u = Ξ W``.
-    Neither: a nominal run.
+    ``field_rows`` are factored samples' ``(rows, N')`` field rows,
+    read through ``row_map`` from lane ``lane_offset`` on.  Neither: a
+    nominal run.
     """
 
     num_samples: int
     products: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
-    projection: Optional[np.ndarray] = None
+    field_rows: Optional[np.ndarray] = None
+    row_map: Optional[RowMap] = None
+    lane_offset: int = 0
 
     def rows(self, start: int, stop: int) -> "_SampleInput":
-        """The sample rows ``[start, stop)``."""
+        """The samples ``[start, stop)``: sliced matrices, or the same
+        field rows from a later lane."""
         return _SampleInput(
             stop - start,
             tuple((matrix[start:stop], w) for matrix, w in self.products),
-            None if self.projection is None else self.projection[start:stop],
+            self.field_rows,
+            self.row_map,
+            self.lane_offset + start,
         )
 
 
@@ -200,6 +207,12 @@ class STAEngine:
         }
         self._program: Optional[CompiledTimingProgram] = None
         self._program_lock = threading.Lock()
+        # Each factored basis's row map under this engine's weights,
+        # built on its first run; an entry lives as long as its basis.
+        self._row_maps: "weakref.WeakKeyDictionary[GateBasis, RowMap]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._row_map_lock = threading.Lock()
 
     @property
     def program(self) -> CompiledTimingProgram:
@@ -284,12 +297,13 @@ class STAEngine:
             to an ``(N, N_g)`` array of normalized values, columns in
             ``netlist.gates`` order — exactly what :mod:`repro.field.sampling`
             produces.  Algorithm 2's factored
-            :class:`~repro.field.sampling.FieldSamples` are projected
-            straight to ``u = Ξ W`` (one GEMM per generated sample set,
-            ``W`` formed from this engine's per-gate weights), so their
-            per-parameter fields are never built; plain mappings are
-            projected block by block.  ``None`` runs a nominal
-            (deterministic, N = 1) analysis.
+            :class:`~repro.field.sampling.FieldSamples` are read as field
+            rows (one GEMM per parameter, or one in all, per generated
+            sample set) through the basis's row map under this engine's
+            per-gate weights, which is built on the basis's first run
+            and kept; their per-parameter fields and ``u`` are never
+            built.  Plain mappings are projected block by block.
+            ``None`` runs a nominal (deterministic, N = 1) analysis.
         wire_scales:
             Optional interconnect-variation extension: mapping with keys
             ``"R"`` and/or ``"C"`` to ``(N, num_nets)`` *multiplicative
@@ -312,9 +326,9 @@ class STAEngine:
             Stream the sample axis in chunks of at most this many rows:
             intermediate arenas and temporaries are bounded by
             ``chunk_size × level_width`` instead of ``N × level_width``,
-            and per-chunk results are concatenated.  Factored samples are
-            projected once and their ``u`` rows are chunked.  Results
-            are identical to an unchunked run.
+            and per-chunk results are concatenated.  Factored samples'
+            field rows are built once and each chunk reads its own
+            lanes of them.  Results are identical to an unchunked run.
         native_threads:
             Per-call override of the native kernel's worker count
             (``None`` → the engine's :attr:`native_threads`, then
@@ -421,7 +435,9 @@ class STAEngine:
         output = self.program.execute(
             num_samples,
             parameter_products=samples.products or None,
-            projection=samples.projection,
+            field_rows=samples.field_rows,
+            row_map=samples.row_map,
+            lane_offset=samples.lane_offset,
             r_scales=wire_scales.get("R") if wire_scales else None,
             c_scales=wire_scales.get("C") if wire_scales else None,
             input_slew_ps=input_slew_ps,
@@ -561,7 +577,7 @@ class STAEngine:
     ) -> _SampleInput:
         """Validate parameter samples into a :class:`_SampleInput`.
 
-        Factored samples are projected here, once: ``u = Ξ W``.
+        Factored samples' field rows are built here, once.
         """
         if not parameter_samples:
             return _SampleInput(1)
@@ -572,13 +588,11 @@ class STAEngine:
                     f"samples must cover {num_gates} gates, got "
                     f"{parameter_samples.basis.num_gates}"
                 )
-            weights = {
-                name: self._packed_models.parameter_weights(name)
-                for name in parameter_samples
-            }
+            row_map = self._row_map(parameter_samples.basis)
             return _SampleInput(
                 parameter_samples.num_samples,
-                projection=parameter_samples.projection(weights),
+                field_rows=parameter_samples.field_rows(row_map),
+                row_map=row_map,
             )
         products: List[Tuple[np.ndarray, np.ndarray]] = []
         for name, matrix in parameter_samples.items():
@@ -601,6 +615,24 @@ class STAEngine:
             raise ValueError("all parameter sample matrices must share N")
         return _SampleInput(lengths.pop(), products=tuple(products))
 
+    def _row_map(self, basis: GateBasis) -> RowMap:
+        """``basis``'s row map under this engine's weights, built once.
+
+        Thread-safe: the service's workers share one engine and basis,
+        and the first run of either builds the map.
+        """
+        with self._row_map_lock:
+            row_map = self._row_maps.get(basis)
+            if row_map is None:
+                row_map = basis.row_map(
+                    {
+                        name: self._packed_models.parameter_weights(name)
+                        for name in basis.names
+                    }
+                )
+                self._row_maps[basis] = row_map
+        return row_map
+
     def _statistical_projection(
         self,
         samples: Union[_SampleInput, Mapping[str, np.ndarray], None],
@@ -610,22 +642,24 @@ class STAEngine:
         if not isinstance(samples, _SampleInput):
             samples = self._sample_input(samples)
         num_samples = samples.num_samples
-        projection = samples.projection
-        if projection is None and not samples.products:
+        if samples.field_rows is not None:
+            assert samples.row_map is not None
+            return num_samples, _row_reader(
+                samples.field_rows,
+                samples.row_map,
+                slice(samples.lane_offset, samples.lane_offset + num_samples),
+            )
+        if not samples.products:
             return 1, lambda gate_index: np.zeros(1)
         num_gates = self.netlist.num_gates
 
         # Fast path: precompute U = Σ_j w_j(gate) · p_j as one (N, Ng)
         # array so the hot loop only gathers columns.  Falls back to lazy
         # per-gate evaluation when the array would be too large.
-        if projection is None and num_samples * num_gates * 8 <= (
-            512 * 1024 * 1024
-        ):
-            projection = np.zeros((num_samples, num_gates))
+        if num_samples * num_gates * 8 <= 512 * 1024 * 1024:
+            u_matrix = np.zeros((num_samples, num_gates))
             for matrix, weights in samples.products:
-                projection += matrix * weights[None, :]
-        if projection is not None:
-            u_matrix = projection
+                u_matrix += matrix * weights[None, :]
 
             def u_by_gate(gate_index: int) -> np.ndarray:
                 return u_matrix[:, gate_index]
@@ -695,3 +729,19 @@ class STAEngine:
         return max(
             result.end_arrivals, key=lambda net: float(result.end_arrivals[net][0])
         )
+
+
+def _row_reader(
+    field_rows: np.ndarray, row_map: RowMap, lanes: slice
+) -> Callable[[int], np.ndarray]:
+    """Per-gate ``u`` from field rows: ``Σ_k weight[k, g] · R[index[k, g]]``
+    over ``lanes``, for k = 0 … P−1 in the kernel's order."""
+    index, weight = row_map.index, row_map.weight
+
+    def u_by_gate(gate_index: int) -> np.ndarray:
+        u = weight[0, gate_index] * field_rows[index[0, gate_index], lanes]
+        for k in range(1, index.shape[0]):
+            u += weight[k, gate_index] * field_rows[index[k, gate_index], lanes]
+        return u
+
+    return u_by_gate

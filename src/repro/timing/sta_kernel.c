@@ -13,7 +13,18 @@
  *   winner   = first pin with strictly greater cand    (reference tie rule)
  *
  * with scale = max(1 + k1*u + k2*u^2, 0.05) from the rank-one projection
- * u (computed per block by the caller, row-major (B, Ng)).
+ * u of the gate's model id g.  Dense samples hand u in per block,
+ * row-major (B, Ng).  Factored samples hand in field rows instead: a
+ * (num_field_rows, row_stride) array whose sample lanes are contiguous,
+ * built once per run, plus a row map of num_terms terms per model gate,
+ * so that
+ *
+ *   u_g[n] = sum_{k < num_terms} row_weight[k, g]
+ *                * field_rows[row_index[k, g], lane_offset + n]
+ *
+ * summed for k = 0 ... num_terms-1 in that order.  A block only moves
+ * lane_offset along the rows.  num_field_rows bounds row_index in the
+ * caller's argument check; the kernel does not read it.
  *
  * Wire variation: with per-sample R/C scale rows (row-major (B, nets)),
  * each pin's Elmore delay becomes r*c*RC_wire/2 + r*RC_pin, its Bakoglu
@@ -79,13 +90,58 @@ static const double *scale_column(
     return scale ? scale + cols[i] : &UNIT_SCALE;
 }
 
+/* Where a block's u comes from: a dense (B, Ng) row-major block, or
+ * field rows read through the row map; both NULL is a nominal run. */
+typedef struct {
+    int64_t num_model_gates;
+    const double *u;
+    const double *field_rows;
+    int64_t row_stride, lane_offset;
+    const int64_t *row_index;
+    const double *row_weight;
+    int64_t num_terms;
+} u_source;
+
+/* u of model gate `gid` for lanes [lo, hi), into `out`. */
+static void gate_u(
+    const u_source *src, int64_t gid, int64_t lo, int64_t hi,
+    double *restrict out)
+{
+    const int64_t ng = src->num_model_gates;
+    if (!src->field_rows) {
+        const double *ucol = src->u + gid;
+        for (int64_t n = lo; n < hi; ++n)
+            out[n] = ucol[n * ng];
+        return;
+    }
+    if (src->num_terms < 1) {
+        for (int64_t n = lo; n < hi; ++n)
+            out[n] = 0.0;
+        return;
+    }
+    {
+        const double *row = src->field_rows
+            + src->row_index[gid] * src->row_stride + src->lane_offset;
+        const double w = src->row_weight[gid];
+        for (int64_t n = lo; n < hi; ++n)
+            out[n] = w * row[n];
+    }
+    for (int64_t k = 1; k < src->num_terms; ++k) {
+        const double *row = src->field_rows
+            + src->row_index[k * ng + gid] * src->row_stride
+            + src->lane_offset;
+        const double w = src->row_weight[k * ng + gid];
+        for (int64_t n = lo; n < hi; ++n)
+            out[n] += w * row[n];
+    }
+}
+
 /* One worker's share of a sample block: evaluate lanes [lane_lo,
  * lane_hi) of every primary input, DFF and gate.  The six scratch
  * vectors are full-B-length arrays indexed by absolute lane, so a
  * worker only touches its own [lane_lo, lane_hi) slice of them. */
 static void eval_lane_range(
-    int64_t num_model_gates,
-    const double *restrict u,
+    const u_source *src,
     int64_t num_nets,
     const double *restrict r_scale, const double *restrict c_scale,
     double input_slew,
@@ -115,6 +171,7 @@ static void eval_lane_range(
     double *restrict bdl, double *restrict bsl)
 {
     const int wire = r_scale || c_scale;
+    const int stat = src->u || src->field_rows;
     const int64_t rs = r_scale ? num_nets : 0;
     const int64_t cs = c_scale ? num_nets : 0;
 
@@ -134,12 +191,12 @@ static void eval_lane_range(
         const double *cd = scale_column(c_scale, dff_col, i);
         const double dn = dff_bd[i], sn = dff_bs[i];
         const double dm = dff_dmetal[i], sm = dff_smetal[i];
-        if (u) {
-            const double *ucol = u + dff_gids[i];
+        if (stat) {
             const double k1 = dff_k1[i], k2 = dff_k2[i];
             const double m1 = dff_m1[i], m2 = dff_m2[i];
+            gate_u(src, dff_gids[i], lane_lo, lane_hi, scd);
             for (int64_t n = lane_lo; n < lane_hi; ++n) {
-                const double uv = ucol[n * num_model_gates];
+                const double uv = scd[n];
                 const double dc = cd[n * cs] - 1.0;
                 double sd = 1.0 + k1 * uv + k2 * uv * uv;
                 double ss = 1.0 + m1 * uv + m2 * uv * uv;
@@ -163,12 +220,12 @@ static void eval_lane_range(
         const double bd = g_bd[g], dsl = g_dsl[g];
         const double bs = g_bs[g], ssl = g_ssl[g];
 
-        if (u) {
-            const double *ucol = u + g_id[g];
+        if (stat) {
             const double k1 = g_k1[g], k2 = g_k2[g];
             const double m1 = g_m1[g], m2 = g_m2[g];
+            gate_u(src, g_id[g], lane_lo, lane_hi, scd);
             for (int64_t n = lane_lo; n < lane_hi; ++n) {
-                const double uv = ucol[n * num_model_gates];
+                const double uv = scd[n];
                 double sd = 1.0 + k1 * uv + k2 * uv * uv;
                 double ss = 1.0 + m1 * uv + m2 * uv * uv;
                 if (sd < 0.05) sd = 0.05;
@@ -254,8 +311,7 @@ static void eval_lane_range(
 /* Shared per-call arguments for one multithreaded evaluation; worker t
  * evaluates lanes [t*B/T, (t+1)*B/T) with scratch block t. */
 typedef struct {
-    int64_t num_model_gates;
-    const double *u;
+    u_source src;
     int64_t num_nets;
     const double *r_scale; const double *c_scale;
     double input_slew;
@@ -292,7 +348,7 @@ static void eval_worker(const mt_call *c, int64_t t)
     if (lo >= hi)
         return;
     eval_lane_range(
-        c->num_model_gates, c->u, c->num_nets, c->r_scale, c->c_scale,
+        &c->src, c->num_nets, c->r_scale, c->c_scale,
         c->input_slew,
         c->pi_slots, c->num_pi,
         c->dff_slots, c->dff_gids, c->dff_col, c->dff_bd, c->dff_bs,
@@ -323,8 +379,15 @@ static void *pthread_trampoline(void *raw)
 
 void sta_eval_gates_mt(
     int64_t num_rows,            /* B: samples in this block */
-    int64_t num_model_gates,     /* Ng: row stride of u */
-    const double *u,             /* (B, Ng) projection, or NULL (nominal) */
+    int64_t num_model_gates,     /* Ng: row stride of u and the row map */
+    const double *u,             /* (B, Ng) dense projection, or NULL */
+    const double *field_rows,    /* (num_field_rows, row_stride), or NULL */
+    int64_t num_field_rows,
+    int64_t row_stride,          /* lanes per field row */
+    int64_t lane_offset,         /* this block's first lane in a row */
+    const int64_t *row_index,    /* (num_terms, Ng) field row of a term */
+    const double *row_weight,    /* (num_terms, Ng) weight of a term */
+    int64_t num_terms,
     int64_t num_nets,            /* row stride of the wire scales */
     const double *r_scale,       /* (B, nets) wire R scales, or NULL */
     const double *c_scale,       /* (B, nets) wire C scales, or NULL */
@@ -361,8 +424,15 @@ void sta_eval_gates_mt(
         T = B;
 
     mt_call call;
-    call.num_model_gates = num_model_gates;
-    call.u = u;
+    (void)num_field_rows;
+    call.src.num_model_gates = num_model_gates;
+    call.src.u = u;
+    call.src.field_rows = field_rows;
+    call.src.row_stride = row_stride;
+    call.src.lane_offset = lane_offset;
+    call.src.row_index = row_index;
+    call.src.row_weight = row_weight;
+    call.src.num_terms = num_terms;
     call.num_nets = num_nets;
     call.r_scale = r_scale; call.c_scale = c_scale;
     call.input_slew = input_slew;

@@ -1,33 +1,49 @@
 """Algorithm 2 samples in factored form (:class:`FieldSamples`).
 
 ``KLESampleGenerator.generate`` returns the ``(N, Σr)`` ξ draw plus the
-placement's ξ → gate basis; the timing engine projects it with one GEMM
-per generated sample set, ``u = Ξ W``, and a parameter's ``(N, N_g)``
-field exists only when a caller reads it.  These tests pin the contracts
-that design has to keep:
+placement's ξ → gate basis, and a parameter's ``(N, N_g)`` field exists
+only when a caller reads it.  The timing engine reads the draw as field
+rows: a C-ordered ``(rows, N)`` array built with one GEMM per parameter
+(or one in all) per generated sample set, plus a row map that gives each
+gate's ``u`` as a weighted sum of ``P`` rows.  The basis picks the form
+from the placement alone: the paper's per-triangle fields ``D_λ ξ`` on
+the triangles that hold a gate when those are fewer than the gates,
+else one row per gate, ``W ξᵀ``.  These tests pin the contracts that
+design has to keep, on both forms:
 
 - ``generate()`` + ``engine.run`` is ``run_kle`` bit for bit, for every
   sampler, with and without a parameter cross-correlation;
 - materialized fields are C-ordered and bitwise the classic
   ``(ξ_j D_λ,jᵀ)[:, tri]`` arithmetic, C ⊗ K mix included;
-- a request's rows of a batched sweep are exactly its own serial rows;
-- chunking slices ``u``, never ξ, so chunked runs are bitwise unchunked;
+- a request's lanes of a batched sweep's field rows are exactly its own
+  serial rows, and so are its worst delays;
+- chunking moves the lane offset into the rows, never re-draws ξ, so
+  chunked runs are bitwise unchunked;
 - factored and materialized inputs agree to ``rtol=1e-12`` on every
   engine, and the native kernel is bitwise across thread counts;
-- nothing ``(N, N_g)`` per parameter is allocated on the ``run_kle`` path.
+- an engine builds a basis's row map once;
+- nothing ``(N, N_g)`` per parameter is allocated on the ``run_kle``
+  path, and nothing ``(N, N_g)`` at all on the triangle form's.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.galerkin import solve_kle
 from repro.field.sampling import (
     FieldSamples,
+    GateBasis,
     KLESampleGenerator,
     _mix_parameters,
     gate_basis,
 )
+from repro.mesh.structured import structured_rectangle_mesh
 from repro.service.batcher import ActiveRequest, execute_batch
 from repro.service.faults import FaultInjector
 from repro.service.request import AnalysisRequest
@@ -54,9 +70,26 @@ CROSS = np.array(
 
 @pytest.fixture(scope="module")
 def harness(c880, c880_placement, gaussian_kernel, gaussian_kle):
-    return MonteCarloSSTA(
+    """c880 on the 10 × 10 mesh: more used triangles (×4) than gates."""
+    harness = MonteCarloSSTA(
         c880, c880_placement, gaussian_kernel, gaussian_kle, r=R
     )
+    harness.kle_generator.prepare(harness.gate_locations)
+    assert harness.kle_generator._basis.row_form == "gate"
+    return harness
+
+
+@pytest.fixture(scope="module")
+def triangle_harness(c880, c880_placement, gaussian_kernel):
+    """c880 on a 4 × 4 mesh: 32 triangles (×4) against 383 gates."""
+    mesh = structured_rectangle_mesh(-1.0, -1.0, 1.0, 1.0, 4, 4)
+    kle = solve_kle(gaussian_kernel, mesh, num_eigenpairs=R)
+    harness = MonteCarloSSTA(c880, c880_placement, gaussian_kernel, kle, r=R)
+    harness.kle_generator.prepare(harness.gate_locations)
+    basis = harness.kle_generator._basis
+    assert basis.row_form == "triangle"
+    assert basis.num_triangle_rows <= 4 * 32 < c880.num_gates
+    return harness
 
 
 def _generator(kle, sampler="pseudo", cross=None):
@@ -162,7 +195,7 @@ def test_run_kle_allocates_no_per_parameter_field(harness):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One (N, N_g) projection u; four parameter fields would be 4×.
+    # One row per gate (the gate form); four parameter fields would be 4×.
     assert peak < 2 * num_samples * num_gates * 8
 
 
@@ -176,36 +209,169 @@ def _active(num_samples, seed, request_id):
     )
 
 
-def test_batched_requests_project_to_their_own_rows(harness):
+def test_batched_requests_project_to_their_own_rows(
+    harness, triangle_harness
+):
     sizes_seeds = ((128, 901), (1, 902), (37, 903))
+    for each_harness in (harness, triangle_harness):
+        _check_batched_rows(each_harness, sizes_seeds)
+
+
+def _check_batched_rows(harness, sizes_seeds):
     generated = [
         harness.kle_generator.generate(harness.gate_locations, n, seed=s)
         for n, s in sizes_seeds
     ]
     batch = FieldSamples.concatenate([g.samples for g in generated])
     assert batch.num_samples == 166
-    weights = _weights(harness.engine)
-    u = batch.projection(weights)
+    row_map = harness.engine._row_map(batch.basis)
+    rows = batch.field_rows(row_map)
+    assert rows.shape == (row_map.num_rows, 166) and rows.flags.c_contiguous
     swept = harness.engine.run(batch)
     offset = 0
-    for (rows, seed), each in zip(sizes_seeds, generated):
-        own = slice(offset, offset + rows)
-        assert np.array_equal(u[own], each.samples.projection(weights))
-        serial = harness.run_kle(rows, seed=seed).sta
+    for (count, seed), each in zip(sizes_seeds, generated):
+        own = slice(offset, offset + count)
+        assert np.array_equal(rows[:, own], each.samples.field_rows(row_map))
+        serial = harness.run_kle(count, seed=seed).sta
         assert np.array_equal(swept.worst_delay[own], serial.worst_delay)
-        offset += rows
+        offset += count
 
     # The same through the service's batcher: each request's streamed
     # rows are its serial run's rows.
     batch_requests = [
-        _active(rows, seed, f"t-{i}")
-        for i, (rows, seed) in enumerate(sizes_seeds)
+        _active(count, seed, f"t-{i}")
+        for i, (count, seed) in enumerate(sizes_seeds)
     ]
     execute_batch(batch_requests, harness, FaultInjector())
-    for active, (rows, seed) in zip(batch_requests, sizes_seeds):
+    for active, (count, seed) in zip(batch_requests, sizes_seeds):
         (chunk,) = list(active.stream.chunks(0.1))
-        serial = harness.run_kle(rows, seed=seed).sta
+        serial = harness.run_kle(count, seed=seed).sta
         assert np.array_equal(chunk.worst_delay, serial.worst_delay)
+
+
+@pytest.mark.parametrize("form", ["gate", "triangle"])
+def test_row_map_is_built_once_per_basis_and_engine(
+    harness, triangle_harness, monkeypatch, form
+):
+    """A second run on the same basis and engine rebuilds neither the
+    row map nor, on the gate form, ``W``; another engine builds its own."""
+    chosen = harness if form == "gate" else triangle_harness
+    counts = {"row_map": 0, "sensitivity": 0}
+
+    def counting(name):
+        original = getattr(GateBasis, name)
+
+        def wrapper(self, weights):
+            counts[name] += 1
+            return original(self, weights)
+
+        monkeypatch.setattr(GateBasis, name, wrapper)
+
+    counting("row_map")
+    counting("sensitivity")
+    generator = _generator(chosen.kle_generator.kles["L"])
+    generator.prepare(chosen.gate_locations)
+    engine = STAEngine(chosen.netlist, chosen.placement)
+    first = engine.run(
+        generator.generate(chosen.gate_locations, 40, seed=1).samples
+    )
+    second = engine.run(
+        generator.generate(chosen.gate_locations, 40, seed=1).samples
+    )
+    assert np.array_equal(first.worst_delay, second.worst_delay)
+    built_w = 1 if form == "gate" else 0
+    assert counts == {"row_map": 1, "sensitivity": built_w}
+    STAEngine(chosen.netlist, chosen.placement).run(
+        generator.generate(chosen.gate_locations, 4, seed=2).samples
+    )
+    assert counts == {"row_map": 2, "sensitivity": 2 * built_w}
+
+
+def test_concurrent_first_runs_build_the_row_map_once(
+    triangle_harness, monkeypatch
+):
+    """More threads than cores race one engine's first run on a basis,
+    as the service's workers do: one map is built and every result is
+    the serial one."""
+    harness = triangle_harness
+    builds = []
+    original = GateBasis.row_map
+
+    def slow_row_map(self, weights):
+        builds.append(threading.get_ident())
+        time.sleep(0.01)
+        return original(self, weights)
+
+    monkeypatch.setattr(GateBasis, "row_map", slow_row_map)
+    samples = harness.kle_generator.generate(
+        harness.gate_locations, 33, seed=6
+    ).samples
+    serial = STAEngine(harness.netlist, harness.placement).run(samples)
+    builds.clear()
+    engine = STAEngine(harness.netlist, harness.placement)
+    engine.program  # noqa: B018 — compile outside the race
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(engine.run, samples) for _ in range(16)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    for result in results:
+        assert np.array_equal(result.worst_delay, serial.worst_delay)
+
+
+def test_triangle_form_keeps_the_bitwise_contracts(triangle_harness):
+    """``generate`` + ``run`` is ``run_kle``, chunked is unchunked, and
+    two kernel threads are one, all on the triangle form."""
+    harness = triangle_harness
+    public = harness.run_kle(150, seed=12).sta
+    samples = harness.kle_generator.generate(
+        harness.gate_locations, 150, seed=12
+    ).samples
+    runs = [
+        harness.engine.run(samples),
+        harness.engine.run(samples, chunk_size=37),
+        harness.engine.run(samples, engine="reference", chunk_size=64),
+    ]
+    if native.load_kernel() is not None:
+        runs.append(harness.engine.run(samples, native_threads=2))
+        runs.append(
+            harness.engine.run(samples, native_threads=2, chunk_size=7)
+        )
+    reference = runs.pop(2)
+    for run in runs:
+        assert np.array_equal(run.worst_delay, public.worst_delay)
+        for net, values in public.end_arrivals.items():
+            assert np.array_equal(run.end_arrivals[net], values)
+    np.testing.assert_allclose(
+        reference.worst_delay, public.worst_delay, rtol=1e-12
+    )
+
+
+def test_triangle_form_run_kle_allocates_no_gate_sized_array(
+    triangle_harness, monkeypatch
+):
+    """The triangle form's rows are ``4 · used × N``: no ``(N, N_g)``
+    array — neither ``u`` nor a field — is ever allocated."""
+    if native.load_kernel() is None:
+        pytest.skip("native kernel unavailable")
+    import repro.timing.compiled as compiled
+
+    # Cache-sized blocks keep the arenas small next to an (N, N_g) array.
+    monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+    harness = triangle_harness
+    num_samples = 3000
+    harness.run_kle(16, seed=0)  # warm the row map and the kernel
+    tracemalloc.start()
+    try:
+        harness.run_kle(num_samples, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < num_samples * harness.netlist.num_gates * 8
 
 
 def test_stacking_needs_one_basis(harness, gaussian_kle):

@@ -24,13 +24,18 @@ A third leg feeds factored Algorithm 2 samples
 (:class:`~repro.field.sampling.FieldSamples`) built on a random ξ → gate
 basis — per-parameter ``D_λ`` of rank 1 to 30 over random triangle maps,
 with and without a parameter cross-correlation — and checks every engine
-on them against the same samples materialized into a plain dict.
+on them against the same samples materialized into a plain dict.  Its
+bases land on both sides of the row-form rule: many gates on a few
+triangles (the per-triangle rows, ``P`` = 4 terms per gate) and a
+triangle of its own for every gate (one row per gate).  One more check
+forces each basis through both row forms and asks that they agree.
 """
 
 import numpy as np
 import pytest
 
 import repro.timing.compiled as compiled
+import repro.timing.sta as sta
 from repro.circuit.generate import generate_circuit
 from repro.field.sampling import FieldSamples, GateBasis, ParameterBasis
 from repro.place.placer import place_netlist
@@ -268,12 +273,19 @@ FACTORED_SEED = 20080311
 NUM_FACTORED_CASES = 12
 
 
+#: Row forms, in case order: each takes all four sample counts in turn.
+FORMS = ("triangle", "gate")
+
+
 def _draw_factored_cases():
     rng = np.random.default_rng(FACTORED_SEED)
     counts = (1, BLOCK - 1, BLOCK, BLOCK + 1)
     cases = []
     for index in range(NUM_FACTORED_CASES):
-        num_gates = int(rng.integers(2, 301))
+        form = FORMS[(index // len(counts)) % len(FORMS)]
+        # Four parameters' used triangles must number fewer than the
+        # gates for the triangle form, so it needs at least 5 gates.
+        num_gates = int(rng.integers(8 if form == "triangle" else 2, 301))
         num_dffs = (
             int(rng.integers(num_gates // 4, num_gates // 2 + 1))
             if index % 3 == 1 and num_gates >= 4
@@ -287,6 +299,7 @@ def _draw_factored_cases():
                 "num_outputs": int(rng.integers(1, 8)),
                 "num_samples": counts[index % len(counts)],
                 "cross": index % 2 == 1,
+                "form": form,
                 "seed": int(rng.integers(2**31)),
             }
         )
@@ -296,21 +309,27 @@ def _draw_factored_cases():
 FACTORED_CASES = _draw_factored_cases()
 
 
-def _random_basis(rng, num_gates, cross):
+def _random_basis(rng, num_gates, cross, form):
     """Random per-parameter ``D_λ`` (rank 1–30) over random triangle maps.
 
-    A cross-correlated basis shares one map across the parameters (the
-    separable C ⊗ K model) and mixes them by a random correlation's
-    Cholesky factor.
+    For the triangle form every parameter's gates share at most
+    ``num_gates // 5`` triangles; for the gate form each gate gets a
+    triangle of its own.  A cross-correlated basis shares one map across
+    the parameters (the separable C ⊗ K model) and mixes them by a
+    random correlation's Cholesky factor.
     """
 
     def one_map():
         rank = int(rng.integers(1, 31))
-        num_triangles = int(rng.integers(1, 61))
+        if form == "triangle":
+            num_triangles = int(rng.integers(1, num_gates // 5 + 1))
+            triangles = rng.integers(0, num_triangles, size=num_gates)
+        else:
+            num_triangles = int(rng.integers(num_gates, 2 * num_gates + 1))
+            triangles = rng.permutation(num_triangles)[:num_gates]
         d_lambda = rng.standard_normal((num_triangles, rank)) * (
             0.1 / np.sqrt(rank)
         )
-        triangles = rng.integers(0, num_triangles, size=num_gates)
         return rank, d_lambda, triangles
 
     shared = one_map() if cross else None
@@ -334,10 +353,12 @@ def _random_basis(rng, num_gates, cross):
 
 
 def test_factored_cases_cover_the_declared_space():
-    assert {case["num_samples"] for case in FACTORED_CASES} == {
-        1, BLOCK - 1, BLOCK, BLOCK + 1
-    }
-    assert {case["cross"] for case in FACTORED_CASES} == {False, True}
+    for form in FORMS:
+        cases = [case for case in FACTORED_CASES if case["form"] == form]
+        assert {case["num_samples"] for case in cases} == {
+            1, BLOCK - 1, BLOCK, BLOCK + 1
+        }
+        assert {case["cross"] for case in cases} == {False, True}
     assert any(case["num_dffs"] for case in FACTORED_CASES)
 
 
@@ -350,7 +371,10 @@ def test_factored_samples_agree_with_their_fields(case, monkeypatch):
     monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
     engine = _fuzz_engine(case)
     rng = np.random.default_rng(case["seed"])
-    basis = _random_basis(rng, engine.netlist.num_gates, case["cross"])
+    basis = _random_basis(
+        rng, engine.netlist.num_gates, case["cross"], case["form"]
+    )
+    assert basis.row_form == case["form"]
     num_samples = case["num_samples"]
     samples = FieldSamples(
         basis, [rng.standard_normal((num_samples, basis.dimension))]
@@ -366,3 +390,66 @@ def test_factored_samples_agree_with_their_fields(case, monkeypatch):
         )
 
     _check_every_engine(engine, samples, monkeypatch, oracle=oracle)
+
+
+@pytest.mark.parametrize(
+    "case",
+    FACTORED_CASES,
+    ids=[f"case{i}" for i in range(len(FACTORED_CASES))],
+)
+def test_both_row_forms_agree_on_one_basis(case, monkeypatch):
+    """Each basis, forced through the gate rows (``_gate_row_map``) and
+    the triangle rows (``_triangle_row_map``), gives the same ``u`` and
+    the same delays."""
+    monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+    engine = _fuzz_engine(case)
+    rng = np.random.default_rng(case["seed"])
+    basis = _random_basis(
+        rng, engine.netlist.num_gates, case["cross"], case["form"]
+    )
+    num_samples = case["num_samples"]
+    samples = FieldSamples(
+        basis, [rng.standard_normal((num_samples, basis.dimension))]
+    )
+    weights = {
+        name: engine._packed_models.parameter_weights(name)
+        for name in basis.names
+    }
+    maps = {
+        "gate": basis._gate_row_map(weights),
+        "triangle": basis._triangle_row_map(weights),
+    }
+    assert maps["gate"].num_rows == engine.netlist.num_gates
+    assert maps["triangle"].num_rows == basis.num_triangle_rows
+    inputs = {
+        form: sta._SampleInput(
+            num_samples,
+            field_rows=samples.field_rows(row_map),
+            row_map=row_map,
+        )
+        for form, row_map in maps.items()
+    }
+    u = {
+        form: engine._statistical_projection(sample_input)[1]
+        for form, sample_input in inputs.items()
+    }
+    for gate in range(engine.netlist.num_gates):
+        np.testing.assert_allclose(
+            u["triangle"](gate), u["gate"](gate), rtol=1e-12, atol=1e-15
+        )
+    runs = {
+        (form, mode): engine._run_pass(
+            mode,
+            sample_input,
+            None,
+            num_samples,
+            input_slew_ps=engine.library.technology.default_input_slew_ps,
+            keep_all_arrivals=False,
+            native_threads=1,
+        )
+        for form, sample_input in inputs.items()
+        for mode in ("reference", "compiled")
+    }
+    base = runs["gate", "reference"]
+    for run in runs.values():
+        _assert_close(run, base)

@@ -8,10 +8,11 @@ Each mutation below breaks one row and must raise
 *before* the kernel runs — a fake kernel records calls, so no C compiler
 is needed.  The first two mutations are textual edits of a copy of
 ``compiled.py`` (the same allocation bugs a static prover would have to
-find); the rest corrupt a compiled program's tables or the per-block
-projection and wire-scale rows at run time.  The table itself is checked
-against the C prototype in ``sta_kernel.c``, and seeded edits of that
-prototype must fail the check.
+find); the rest corrupt a compiled program's tables, factored samples'
+field rows and row map, or the per-block projection, lane offset and
+wire-scale rows at run time.  The table itself is checked against the C
+prototype in ``sta_kernel.c``, and seeded edits of that prototype must
+fail the check.
 """
 
 import ctypes
@@ -28,6 +29,7 @@ import pytest
 import repro.timing.compiled as compiled
 import repro.timing.sta as sta
 from repro.circuit.generate import generate_circuit
+from repro.field.sampling import FieldSamples, GateBasis, ParameterBasis, RowMap
 from repro.place.placer import place_netlist
 from repro.timing import native
 from repro.timing.library import STATISTICAL_PARAMETERS
@@ -36,8 +38,10 @@ from repro.timing.sta import STAEngine
 DIE = (-1.0, -1.0, 1.0, 1.0)
 NUM_SAMPLES = 70
 _MUTANT_IDS = itertools.count()
-#: The pointer rows :class:`~repro.timing.native.BoundKernel` takes per call.
-_PER_BLOCK = ("u", "r_scale", "c_scale")
+#: The rows :class:`~repro.timing.native.BoundKernel` takes per call.
+_PER_BLOCK = ("u", "lane_offset", "r_scale", "c_scale")
+#: Position of each C parameter in a recorded call.
+_AT = {arg.name: index for index, arg in enumerate(native.KERNEL_ARGS)}
 
 
 class FakeKernel:
@@ -75,6 +79,27 @@ def _samples(netlist, num_samples=NUM_SAMPLES, seed=3):
     }
 
 
+def _factored(netlist, num_triangles, num_samples=NUM_SAMPLES, seed=3):
+    """Factored samples on a random basis over ``num_triangles`` triangles
+    per parameter: the triangle form when few, the gate form when many."""
+    rng = np.random.default_rng(seed)
+    rank = 3
+    parameters = []
+    for j, name in enumerate(STATISTICAL_PARAMETERS):
+        d_lambda = rng.standard_normal((num_triangles, rank)) * 0.05
+        triangles = rng.permutation(
+            np.arange(netlist.num_gates) % num_triangles
+        )
+        parameters.append(
+            ParameterBasis(
+                name, j * rank, rank, d_lambda, triangles, d_lambda[triangles]
+            )
+        )
+    basis = GateBasis(parameters)
+    xi = rng.standard_normal((num_samples, basis.dimension))
+    return FieldSamples(basis, [xi])
+
+
 def _mutant_program_class(monkeypatch, tmp_path: Path, old: str, new: str):
     """``CompiledTimingProgram`` from a copy of compiled.py with one edit."""
     source = Path(compiled.__file__).read_text(encoding="utf-8")
@@ -90,8 +115,11 @@ def _mutant_program_class(monkeypatch, tmp_path: Path, old: str, new: str):
     return module.CompiledTimingProgram
 
 
-def _expect_violation(fake, engine, argument, threads=1, **kwargs):
-    samples = _samples(engine.netlist)
+def _expect_violation(
+    fake, engine, argument, threads=1, samples=None, **kwargs
+):
+    if samples is None:
+        samples = _samples(engine.netlist)
     with pytest.raises(native.KernelArgumentError) as info:
         engine.run(
             samples, engine="compiled", native_threads=threads, **kwargs
@@ -146,6 +174,21 @@ _PROTOTYPE_MUTATIONS = {
         "types differ",
     ),
     "drop-wire-parameter": ("const double *p_rc, ", "", "parameter names"),
+    "drop-row-map-parameter": (
+        "const double *row_weight,",
+        "",
+        "parameter names",
+    ),
+    "field-rows-lose-const": (
+        "const double *field_rows",
+        "double *field_rows",
+        "outputs",
+    ),
+    "int64-for-double-row-weights": (
+        "const double *row_weight",
+        "const int64_t *row_weight",
+        "types differ",
+    ),
     "non-void-return": (
         f"void {native.KERNEL_FUNCTION}(",
         f"int {native.KERNEL_FUNCTION}(",
@@ -282,8 +325,43 @@ def test_clean_program_passes_the_check(placed, fake, threads):
 def test_nominal_run_passes_null_u(placed, fake):
     engine = STAEngine(*placed)
     engine.run(None, engine="compiled")
-    assert fake.calls and all(call[2] is None for call in fake.calls)
-    assert all(call[4] is None and call[5] is None for call in fake.calls)
+    assert fake.calls
+    for call in fake.calls:
+        for name in ("u", "field_rows", "r_scale", "c_scale"):
+            assert call[_AT[name]] is None
+        assert call[_AT["num_terms"]] == call[_AT["lane_offset"]] == 0
+
+
+@pytest.mark.parametrize("num_triangles, form", [(4, "triangle"), (60, "gate")])
+def test_factored_run_passes_field_rows_and_lane_offsets(
+    placed, fake, num_triangles, form
+):
+    """Factored samples reach the kernel as one set of field rows, bound
+    once, with each block's lanes as its offset and no dense ``u``."""
+    engine = STAEngine(*placed)
+    samples = _factored(engine.netlist, num_triangles)
+    assert samples.basis.row_form == form
+    engine.run(samples, engine="compiled", chunk_size=50)
+    row_map = engine._row_map(samples.basis)
+    block = engine.program._native_block_size(
+        NUM_SAMPLES, engine.program.num_slots
+    )
+    chunks = ((0, 50), (50, NUM_SAMPLES))
+    starts = [
+        (start + offset, min(block, stop - start - offset))
+        for start, stop in chunks
+        for offset in range(0, stop - start, block)
+    ]
+    assert [
+        (call[_AT["lane_offset"]], call[_AT["num_rows"]])
+        for call in fake.calls
+    ] == starts
+    terms = len(STATISTICAL_PARAMETERS) if form == "triangle" else 1
+    for call in fake.calls:
+        assert call[_AT["u"]] is None
+        assert call[_AT["num_terms"]] == terms
+        assert call[_AT["num_field_rows"]] == row_map.num_rows
+        assert call[_AT["row_stride"]] == NUM_SAMPLES
 
 
 def test_wire_run_passes_per_block_scale_rows(placed, fake):
@@ -305,8 +383,9 @@ def test_wire_run_passes_per_block_scale_rows(placed, fake):
     block = program._native_block_size(NUM_SAMPLES, program.num_slots)
     assert len(fake.calls) == -(-NUM_SAMPLES // block) > 1
     for call in fake.calls:
-        assert call[3] == program.num_nets
-        assert call[4] is None and call[5] is not None
+        assert call[_AT["num_nets"]] == program.num_nets
+        assert call[_AT["r_scale"]] is None
+        assert call[_AT["c_scale"]] is not None
 
 
 # ----------------------------------------------------------------------
@@ -356,44 +435,118 @@ def test_float32_dff_row_is_caught(placed, fake):
     _expect_violation(fake, engine, "dff_k1")
 
 
-def test_non_contiguous_projection_is_caught(placed, fake):
-    """A strided view's row blocks are not C-contiguous, so the first
-    block's ``u`` fails its per-block check before any call."""
+def test_non_contiguous_field_rows_are_caught(placed, fake):
+    """A strided view of field rows is not C-contiguous, so binding the
+    run fails its check before any call."""
     engine = STAEngine(*placed)
-    rng = np.random.default_rng(5)
-    num_gates = engine.netlist.num_gates
-    wide = rng.standard_normal((NUM_SAMPLES, 2 * num_gates)) * 0.1
+    samples = _factored(engine.netlist, 4)
+    row_map = engine._row_map(samples.basis)
+    wide = np.zeros((row_map.num_rows, 2 * NUM_SAMPLES))
+    wide[:, :NUM_SAMPLES] = samples.field_rows(row_map)
     with pytest.raises(native.KernelArgumentError) as info:
         engine.program.execute(
             NUM_SAMPLES,
-            projection=wide[:, :num_gates],
+            field_rows=wide[:, :NUM_SAMPLES],
+            row_map=row_map,
             input_slew_ps=10.0,
             native_threads=1,
         )
-    assert info.value.argument == "u"
+    assert info.value.argument == "field_rows"
     assert fake.calls == [], "kernel entered despite a contract violation"
 
 
-def test_fortran_ordered_precomputed_projection_is_caught(placed, fake):
-    """A precomputed ``u`` is read in row blocks in place, so it must be
-    C-ordered: a Fortran-ordered one fails the contract before any call."""
+def test_fortran_ordered_field_rows_are_caught(placed, fake):
+    """Field rows are read along their lanes in place, so they must be
+    C-ordered: Fortran-ordered ones fail the contract before any call."""
     engine = STAEngine(*placed)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal((NUM_SAMPLES, engine.netlist.num_gates)) * 0.1
+    samples = _factored(engine.netlist, 4)
+    row_map = engine._row_map(samples.basis)
+    rows = samples.field_rows(row_map)
     with pytest.raises(native.KernelArgumentError) as info:
         engine.program.execute(
             NUM_SAMPLES,
-            projection=np.asfortranarray(u),
+            field_rows=np.asfortranarray(rows),
+            row_map=row_map,
             input_slew_ps=10.0,
             native_threads=1,
         )
-    assert info.value.argument == "u"
-    assert repr("u") in str(info.value)
+    assert info.value.argument == "field_rows"
+    assert repr("field_rows") in str(info.value)
     assert fake.calls == [], "kernel entered despite a contract violation"
     engine.program.execute(
-        NUM_SAMPLES, projection=u, input_slew_ps=10.0, native_threads=1
+        NUM_SAMPLES,
+        field_rows=rows,
+        row_map=row_map,
+        input_slew_ps=10.0,
+        native_threads=1,
     )
     assert fake.calls
+
+
+def test_short_field_rows_are_caught(placed, fake, monkeypatch):
+    engine = STAEngine(*placed)
+    samples = _factored(engine.netlist, 4)
+    built = FieldSamples.field_rows
+    monkeypatch.setattr(
+        FieldSamples,
+        "field_rows",
+        lambda self, row_map: built(self, row_map)[:-1],
+    )
+    _expect_violation(fake, engine, "field_rows", samples=samples)
+
+
+@pytest.mark.parametrize(
+    "mutation, argument",
+    [
+        ("index-past-the-rows", "row_index"),
+        ("float32-weights", "row_weight"),
+        ("missing-weight-term", "row_weight"),
+    ],
+)
+def test_corrupt_row_map_is_caught(placed, fake, mutation, argument):
+    engine = STAEngine(*placed)
+    samples = _factored(engine.netlist, 4)
+    row_map = engine._row_map(samples.basis)
+    index, weight = row_map.index.copy(), row_map.weight
+    if mutation == "index-past-the-rows":
+        index[-1, -1] = row_map.num_rows
+    elif mutation == "float32-weights":
+        weight = weight.astype(np.float32)
+    else:
+        weight = np.ascontiguousarray(weight[:-1])
+    engine._row_maps[samples.basis] = RowMap(row_map.factors, index, weight)
+    _expect_violation(fake, engine, argument, samples=samples)
+
+
+def test_lanes_past_the_row_stride_are_caught(placed, fake):
+    """A run whose lanes end past the rows fails on its first block."""
+    engine = STAEngine(*placed)
+    samples = _factored(engine.netlist, 4)
+    row_map = engine._row_map(samples.basis)
+    rows = samples.field_rows(row_map)
+    num_samples = 20  # one block
+    with pytest.raises(native.KernelArgumentError) as info:
+        engine.program.execute(
+            num_samples,
+            field_rows=rows,
+            row_map=row_map,
+            lane_offset=NUM_SAMPLES - num_samples + 1,
+            input_slew_ps=10.0,
+            native_threads=1,
+        )
+    assert info.value.argument == "lane_offset"
+    assert fake.calls == [], "kernel entered despite a contract violation"
+    engine.program.execute(
+        num_samples,
+        field_rows=rows,
+        row_map=row_map,
+        lane_offset=NUM_SAMPLES - num_samples,
+        input_slew_ps=10.0,
+        native_threads=1,
+    )
+    assert [call[_AT["lane_offset"]] for call in fake.calls] == [
+        NUM_SAMPLES - num_samples
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +560,12 @@ def _one_gate_args(rows=4):
     args = {
         "num_rows": rows,
         "num_model_gates": 1,
+        "field_rows": None,
+        "num_field_rows": 0,
+        "row_stride": 0,
+        "row_index": np.zeros(0, dtype=np.int64),
+        "row_weight": np.zeros(0),
+        "num_terms": 0,
         "num_nets": 2,
         "input_slew": 10.0,
         "pi_slots": i64(0),
@@ -433,6 +592,20 @@ def _one_gate_args(rows=4):
     return args
 
 
+def _with_field_rows(args, num_field_rows=2, row_stride=8, num_terms=2):
+    """``args`` reading the one gate's ``u`` from two field rows."""
+    return {
+        **args,
+        "field_rows": np.ones((num_field_rows, row_stride)),
+        "num_field_rows": num_field_rows,
+        "row_stride": row_stride,
+        "row_index": np.arange(num_terms, dtype=np.int64)[:, None]
+        % num_field_rows,
+        "row_weight": np.full((num_terms, 1), 0.5),
+        "num_terms": num_terms,
+    }
+
+
 def _violation(args):
     with pytest.raises(native.KernelArgumentError) as info:
         native.BoundKernel(FakeKernel(), **args)
@@ -447,9 +620,22 @@ def test_one_gate_program_binds_and_runs():
     call(2, None, np.ones((2, 2)), np.ones((2, 2)))
     call(1, np.zeros((1, 1)), None, np.ones((1, 2)))
     assert [args[0] for args in kernel.calls] == [3, 4, 2, 1]
-    assert [args[4] is None for args in kernel.calls] == [
+    assert [args[_AT["r_scale"]] is None for args in kernel.calls] == [
         True, True, False, True
     ]
+
+
+def test_one_gate_program_reads_field_rows():
+    kernel = FakeKernel()
+    call = native.BoundKernel(kernel, **_with_field_rows(_one_gate_args()))
+    for offset in (0, 1, 4):
+        call(4, None, lane_offset=offset)
+    call(3, None, None, np.ones((3, 2)), lane_offset=5)
+    assert [
+        (args[_AT["num_rows"]], args[_AT["lane_offset"]])
+        for args in kernel.calls
+    ] == [(4, 0), (4, 1), (4, 4), (3, 5)]
+    assert all(args[_AT["num_terms"]] == 2 for args in kernel.calls)
 
 
 def test_extents_follow_the_other_arguments():
@@ -477,6 +663,50 @@ def test_extents_follow_the_other_arguments():
     args["dff_slots"] = args["dff_gids"] = np.array([0], dtype=np.int64)
     args["dff_col"] = np.array([2], dtype=np.int64)  # two nets
     assert _violation(args) == "dff_col"
+
+
+def test_field_row_extents_follow_the_other_arguments():
+    """Each field-row scalar sizes or bounds another row."""
+    rows = _with_field_rows(_one_gate_args())
+    native.BoundKernel(FakeKernel(), **rows)
+    assert _violation({**rows, "num_field_rows": 3}) == "field_rows"
+    assert _violation({**rows, "row_stride": 9}) == "field_rows"
+    assert _violation({**rows, "num_field_rows": 1}) == "row_index"
+    assert _violation({**rows, "num_terms": 3}) == "row_index"
+    short_weights = {**rows, "row_weight": np.full((1, 1), 0.5)}
+    assert _violation(short_weights) == "row_weight"
+
+
+def test_corrupt_field_rows_and_row_map_are_named():
+    rows = _with_field_rows(_one_gate_args())
+    mutations = {
+        "short rows": ("field_rows", rows["field_rows"].ravel()[:-1]),
+        "Fortran-ordered rows": (
+            "field_rows",
+            np.asfortranarray(rows["field_rows"]),
+        ),
+        "float32 rows": (
+            "field_rows",
+            rows["field_rows"].astype(np.float32),
+        ),
+        "row index past the rows": (
+            "row_index",
+            np.array([[0], [2]], dtype=np.int64),
+        ),
+        "int32 row index": ("row_index", rows["row_index"].astype(np.int32)),
+        "float32 weights": (
+            "row_weight",
+            rows["row_weight"].astype(np.float32),
+        ),
+        "Fortran-ordered weights": (
+            "row_weight",
+            np.asfortranarray(np.arange(4.0).reshape(2, 2)),
+        ),
+    }
+    for problem, (name, value) in mutations.items():
+        assert _violation({**rows, name: value}) == name, problem
+    with pytest.raises(native.KernelArgumentError, match="per block"):
+        native.BoundKernel(FakeKernel(), **rows, lane_offset=0)
 
 
 def test_malformed_arguments_are_named():
@@ -520,7 +750,24 @@ def test_per_block_rows_and_projection_are_rechecked():
     for value in (np.zeros((3, 1)), np.zeros((4, 1), dtype=np.float32)):
         with pytest.raises(native.KernelArgumentError, match="'u'"):
             call(4, value)
+    # Without field rows a block has no lanes to offset.
+    with pytest.raises(native.KernelArgumentError, match="'lane_offset'"):
+        call(4, None, lane_offset=1)
     assert kernel.calls == []
+
+
+def test_per_block_lane_offset_is_rechecked():
+    """``lane_offset + num_rows`` must stay within ``row_stride``."""
+    kernel = FakeKernel()
+    call = native.BoundKernel(kernel, **_with_field_rows(_one_gate_args()))
+    for rows, offset in ((4, 5), (1, 8), (4, -1), (2, 7)):
+        with pytest.raises(native.KernelArgumentError) as info:
+            call(rows, None, lane_offset=offset)
+        assert info.value.argument == "lane_offset"
+        assert repr("lane_offset") in str(info.value)
+    assert kernel.calls == []
+    call(1, None, lane_offset=7)
+    assert len(kernel.calls) == 1
 
 
 def test_error_survives_pickling():

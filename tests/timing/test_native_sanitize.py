@@ -3,6 +3,7 @@
 import ctypes
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,42 @@ def test_a_failed_build_is_remembered_per_flag_set(monkeypatch, tmp_path):
     assert native.load_kernel() is None
     assert len(compiles) == 2
     assert "-fsanitize=undefined" in compiles[1]
+
+
+def test_empty_cache_dir_builds_outside_the_working_directory(
+    monkeypatch, tmp_path
+):
+    """``REPRO_CACHE_DIR=`` (empty) disables the cache: the kernel is
+    built into a per-process temporary directory, never ``./native/``.
+
+    A fake compiler writes the library and a fake ``CDLL`` loads it, so
+    no C compiler is needed.
+    """
+    built = []
+
+    def fake_compile(args, **kwargs):
+        output = Path(args[args.index("-o") + 1])
+        output.write_bytes(b"fake")
+        built.append(output)
+
+    class FakeLibrary:
+        def __init__(self, path):
+            self.path = path
+            setattr(self, native.KERNEL_FUNCTION, lambda *args: None)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
+    monkeypatch.setenv("REPRO_NATIVE_THREAD_BACKEND", "none")
+    monkeypatch.setattr(native, "_compiler_identity_cache", "cc test")
+    monkeypatch.setattr(native, "_process_build_dir", None)
+    monkeypatch.setattr(subprocess, "run", fake_compile)
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibrary)
+    assert native.load_kernel() is not None
+    assert list(tmp_path.iterdir()) == []
+    (temporary,) = built
+    assert tmp_path not in temporary.parents
+    assert native._cache_dir() in temporary.parents
 
 
 def test_compiler_identity_survives_a_missing_compiler(monkeypatch):
