@@ -22,6 +22,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.circuit.benchmarks import load_circuit
 from repro.circuit.netlist import Netlist
 from repro.core.galerkin import kle_eigensolver, solve_kle
@@ -37,6 +39,30 @@ from repro.utils.artifact_cache import ArtifactCache, get_cache
 
 #: Harness memo key: (circuit, kernel, truncation order).
 HarnessKey = Tuple[str, str, Optional[int]]
+
+
+def _harness_arrays(harness: MonteCarloSSTA) -> List[np.ndarray]:
+    """The arrays a harness's flows keep between requests.
+
+    The reference flow's Cholesky factor (``N_g²`` doubles per distinct
+    kernel), the KLE flow's gate basis (each parameter's ``D_λ``, gate
+    triangles and ``(N_g, r)`` gate rows) and the engine's row maps (the
+    gate form's ``W`` is ``N_g × Σr`` doubles).  Shared arrays repeat.
+    """
+    arrays = list(harness.reference_generator._factor_cache.values())
+    basis = harness.kle_generator._basis
+    if basis is not None:
+        for parameter in basis.parameters:
+            arrays.extend(
+                (parameter.d_lambda, parameter.triangles, parameter.rows)
+            )
+    engine = harness.engine
+    with engine._row_map_lock:
+        row_maps = list(engine._row_maps.values())
+    for row_map in row_maps:
+        arrays.extend(factor for _, _, factor in row_map.factors)
+        arrays.extend((row_map.index, row_map.weight))
+    return arrays
 
 
 class ArtifactBuildError(RuntimeError):
@@ -299,25 +325,28 @@ class ArtifactRegistry:
 
         Counts each compiled timing program's arenas plus the per-thread
         native scratch its sweeps allocate at the configured kernel
-        thread count, and the eigenpair arrays of every resident KLE
-        solve — the high-water footprint a saturated request leaves
-        resident.  The KLE term is what the randomized-solver path keeps
-        bounded on fine meshes (O(n·m) instead of the dense path's O(n²)
-        transient).
+        thread count, the eigenpair arrays of every resident KLE
+        solve, and what each harness's flows keep warm
+        (:func:`_harness_arrays`) — the high-water footprint a saturated
+        request leaves resident.  The KLE term is what the
+        randomized-solver path keeps bounded on fine meshes (O(n·m)
+        instead of the dense path's O(n²) transient).
         """
         threads = self.kernel_threads()
         with self._lock:
             harnesses = list(self._harnesses.values())
             kles = list(self._kles.values())
         total = 0
+        arrays: Dict[int, np.ndarray] = {}
         for harness in harnesses:
             program = harness.engine._program
             if program is not None:
                 total += program.resident_bytes()
                 total += program.native_scratch_bytes(threads)
+            arrays.update((id(a), a) for a in _harness_arrays(harness))
         for kle in kles:
             total += int(kle.eigenvalues.nbytes + kle.d_vectors.nbytes)
-        return total
+        return total + sum(int(a.nbytes) for a in arrays.values())
 
     def stats(self) -> Dict[str, object]:
         """Snapshot of registry counters for monitoring/bench output."""

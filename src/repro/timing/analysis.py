@@ -47,52 +47,79 @@ class CriticalPath:
         return len(self.gates)
 
 
-def nominal_critical_path(engine: STAEngine) -> CriticalPath:
-    """Trace the worst nominal path (deterministic corner).
+@dataclass(frozen=True)
+class _NominalPass:
+    """The scalar nominal forward pass.
 
-    Runs a scalar forward pass that records, for each gate, which input
-    pin set its arrival, then walks backward from the worst end point.
+    ``arrival`` maps every net to its arrival (ps), ``winner`` each gate
+    name to the input net that set its arrival, and ``pin_delay`` each
+    ``(gate name, pin)`` to its wire plus gate delay.
+    """
+
+    arrival: Dict[str, float]
+    winner: Dict[str, str]
+    pin_delay: Dict[Tuple[str, int], float]
+
+
+def _nominal_pass(engine: STAEngine) -> _NominalPass:
+    """Time the deterministic corner with scalars, pin by pin.
+
+    Primary inputs launch at 0 with the technology's input slew and DFF
+    outputs at their clock→Q delay.  Each pin's Bakoglu-degraded slew
+    sets its gate delay; a gate's arrival is the latest
+    ``(arrival + wire) + gate`` over its pins, the engine's sum, and on a
+    tie the earlier pin wins.
     """
     netlist = engine.netlist
-    levelized = engine.levelized
-    input_slew = engine.library.technology.default_input_slew_ps
-
+    input_slew = float(engine.library.technology.default_input_slew_ps)
     arrival: Dict[str, float] = {}
     slew: Dict[str, float] = {}
-    winning_pin: Dict[str, str] = {}  # gate output net -> winning input net
+    winner: Dict[str, str] = {}
+    pin_delay: Dict[Tuple[str, int], float] = {}
     for net in netlist.primary_inputs:
         arrival[net] = 0.0
-        slew[net] = float(input_slew)
+        slew[net] = input_slew
     for dff in netlist.sequential_gates():
         model = engine._models[dff.name]
         load = engine._wires[dff.output].total_cap_ff
         arrival[dff.output] = model.nominal_delay(0.0, load)
         slew[dff.output] = model.nominal_slew(0.0, load)
 
-    for gate in levelized.gates_in_order:
+    for gate in engine.levelized.gates_in_order:
         model = engine._models[gate.name]
         load = engine._wires[gate.output].total_cap_ff
         best_arrival = -np.inf
         best_slew = 0.0
         best_net = gate.inputs[0]
         for pin, net in enumerate(gate.inputs):
-            wire = engine._wires[net]
             slot = engine._sink_slot[(net, gate.name, pin)]
-            pin_slew = float(peri_slew(slew[net], wire.sink_delay_ps[slot]))
-            candidate = (
-                arrival[net]
-                + float(wire.sink_delay_ps[slot])
-                + model.nominal_delay(pin_slew, load)
-            )
+            wire_delay = float(engine._wires[net].sink_delay_ps[slot])
+            pin_slew = float(peri_slew(slew[net], wire_delay))
+            gate_delay = model.nominal_delay(pin_slew, load)
+            pin_delay[(gate.name, pin)] = wire_delay + gate_delay
+            candidate = arrival[net] + wire_delay + gate_delay
             if candidate > best_arrival:
                 best_arrival = candidate
                 best_slew = model.nominal_slew(pin_slew, load)
                 best_net = net
         arrival[gate.output] = best_arrival
         slew[gate.output] = best_slew
-        winning_pin[gate.output] = best_net
+        winner[gate.name] = best_net
+    return _NominalPass(arrival, winner, pin_delay)
 
-    end_net = max(levelized.end_nets, key=lambda net: arrival.get(net, -np.inf))
+
+def nominal_critical_path(engine: STAEngine) -> CriticalPath:
+    """Trace the worst nominal path (deterministic corner).
+
+    Runs the scalar nominal forward pass, which records each gate's
+    winning input net, then walks backward from the worst end point.
+    """
+    netlist = engine.netlist
+    forward = _nominal_pass(engine)
+    arrival = forward.arrival
+    end_net = max(
+        engine.levelized.end_nets, key=lambda net: arrival.get(net, -np.inf)
+    )
     nets: List[str] = [end_net]
     gates: List[str] = []
     current = end_net
@@ -101,7 +128,7 @@ def nominal_critical_path(engine: STAEngine) -> CriticalPath:
         if driver is None or driver.is_sequential:
             break
         gates.append(driver.name)
-        current = winning_pin[driver.output]
+        current = forward.winner[driver.name]
         nets.append(current)
     nets.reverse()
     gates.reverse()
@@ -124,40 +151,7 @@ def compute_slacks(
         raise ValueError("clock period must be positive")
     netlist = engine.netlist
     levelized = engine.levelized
-    input_slew = engine.library.technology.default_input_slew_ps
-
-    # Forward pass: nominal arrival/slew per net, and per-(gate, pin) total
-    # pin delay (wire + gate) for the backward pass.
-    arrival: Dict[str, float] = {}
-    slew: Dict[str, float] = {}
-    pin_delay: Dict[Tuple[str, int], float] = {}
-    for net in netlist.primary_inputs:
-        arrival[net] = 0.0
-        slew[net] = float(input_slew)
-    for dff in netlist.sequential_gates():
-        model = engine._models[dff.name]
-        load = engine._wires[dff.output].total_cap_ff
-        arrival[dff.output] = model.nominal_delay(0.0, load)
-        slew[dff.output] = model.nominal_slew(0.0, load)
-    for gate in levelized.gates_in_order:
-        model = engine._models[gate.name]
-        load = engine._wires[gate.output].total_cap_ff
-        best_arrival = -np.inf
-        best_slew = 0.0
-        for pin, net in enumerate(gate.inputs):
-            wire = engine._wires[net]
-            slot = engine._sink_slot[(net, gate.name, pin)]
-            pin_slew = float(peri_slew(slew[net], wire.sink_delay_ps[slot]))
-            delay = float(wire.sink_delay_ps[slot]) + model.nominal_delay(
-                pin_slew, load
-            )
-            pin_delay[(gate.name, pin)] = delay
-            candidate = arrival[net] + delay
-            if candidate > best_arrival:
-                best_arrival = candidate
-                best_slew = model.nominal_slew(pin_slew, load)
-        arrival[gate.output] = best_arrival
-        slew[gate.output] = best_slew
+    forward = _nominal_pass(engine)
 
     # Backward pass: required times.
     required: Dict[str, float] = {net: np.inf for net in netlist.nets}
@@ -166,13 +160,13 @@ def compute_slacks(
     for gate in reversed(levelized.gates_in_order):
         req_out = required[gate.output]
         for pin, net in enumerate(gate.inputs):
-            candidate = req_out - pin_delay[(gate.name, pin)]
+            candidate = req_out - forward.pin_delay[(gate.name, pin)]
             if candidate < required[net]:
                 required[net] = candidate
     # DFF data pins are end nets already handled; DFF input loading of its
     # source net is through the end-net requirement above.
     return {
-        net: float(required[net] - arrival.get(net, 0.0))
+        net: float(required[net] - forward.arrival.get(net, 0.0))
         for net in netlist.nets
     }
 

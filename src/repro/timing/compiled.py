@@ -58,15 +58,14 @@ schedule is computed at compile time by simulating the traversal with
 per-net refcounts (a net's slot is released after its last fanin read and
 reused by later levels), so the arena width is the peak number of live
 nets — the same reclamation the reference engine does with dict pops,
-but with zero per-sample bookkeeping at run time.  ``keep_all_arrivals``
-switches to an identity (net-indexed) schedule.
+but with zero per-sample bookkeeping at run time.
 
 Without the kernel (no C compiler, a failed build, ``REPRO_NO_NATIVE=1``)
 ``execute`` runs nothing and returns ``None``; the engine then runs its
 per-gate reference loop, which is also the oracle the kernel is tested
 against: results match it to floating-point reassociation error — the
-test suite asserts ``rtol=1e-12`` across circuits, modes, wire scales
-and chunkings — and chunked runs are bitwise identical to unchunked ones.
+test suite asserts ``rtol=1e-12`` across circuits, modes and wire
+scales — and are bitwise identical at every block size and thread count.
 """
 
 from __future__ import annotations
@@ -149,18 +148,17 @@ class CompiledTimingProgram:
     ):
         self.netlist = netlist
         self.levelized = levelized
-        self.net_order = list(net_order)
-        self.num_nets = len(self.net_order)
+        self.num_nets = len(net_order)
         packed = pack_gate_models(models)
-        pw = pack_wire_models(wires, self.net_order)
+        pw = pack_wire_models(wires, net_order)
         self.num_model_gates = packed.num_gates
-        net_col = {net: i for i, net in enumerate(self.net_order)}
+        net_col = {net: i for i, net in enumerate(net_order)}
         gate_row = {g.name: i for i, g in enumerate(netlist.gates)}
 
         # Flat per-(gate, pin) wire indices: slot k of a net's sink list
         # lives at pw.sink_offset[net_col] + k.
         pin_flat: Dict[Tuple[str, int], int] = {}
-        for col, net in enumerate(self.net_order):
+        for col, net in enumerate(net_order):
             offset = int(pw.sink_offset[col])
             for slot, (gate, pin) in enumerate(netlist.sinks_of(net)):
                 pin_flat[(gate.name, pin)] = offset + slot
@@ -198,8 +196,7 @@ class CompiledTimingProgram:
             slot_of[col] = slot
             return slot
 
-        pi_cols = _i64([net_col[n] for n in netlist.primary_inputs])
-        pi_slots = _i64([allocate(int(c)) for c in pi_cols])
+        pi_slots = _i64([allocate(net_col[n]) for n in netlist.primary_inputs])
         dffs = netlist.sequential_gates()
         dff_cols = _i64([net_col[d.output] for d in dffs])
         dff_slots = _i64([allocate(int(c)) for c in dff_cols])
@@ -255,7 +252,7 @@ class CompiledTimingProgram:
         step = LN9 * wire_delay
         #: Block-invariant kernel arguments, by C parameter name.
         self._tables: Dict[str, _Table] = {
-            "num_pi": pi_cols.size,
+            "num_pi": pi_slots.size,
             "dff_gids": dff_gids,
             "dff_col": dff_cols,
             **coefficients("dff", dff_gids, dff_cols),
@@ -272,22 +269,10 @@ class CompiledTimingProgram:
             "p_step2": step * step,
             "p_rc": pw.sink_rc_half[flat],
             "p_rpin": pw.sink_r_pin[flat],
-        }
-        #: Arena index tables: compact slots, or one slot per net
-        #: (``keep_all_arrivals``).
-        self._arena_index: Dict[bool, Dict[str, np.ndarray]] = {
-            False: {
-                "pi_slots": pi_slots,
-                "dff_slots": dff_slots,
-                "g_out_slot": _i64(out_slots),
-                "p_slot": _i64(p_slots),
-            },
-            True: {
-                "pi_slots": pi_cols,
-                "dff_slots": dff_cols,
-                "g_out_slot": g_col,
-                "p_slot": p_col,
-            },
+            "pi_slots": pi_slots,
+            "dff_slots": dff_slots,
+            "g_out_slot": _i64(out_slots),
+            "p_slot": _i64(p_slots),
         }
         #: Whether the most recent :meth:`execute` used the native
         #: kernel (for benchmark reporting); ``None`` before any run.
@@ -296,23 +281,19 @@ class CompiledTimingProgram:
         # result dict, which deduplicates implicitly).
         unique_ends = list(dict.fromkeys(levelized.end_nets))
         self._end_names = unique_ends
-        self._end_cols = _i64([net_col[n] for n in unique_ends])
-        self._end_slots = slot_of[self._end_cols]
+        self._end_slots = slot_of[_i64([net_col[n] for n in unique_ends])]
 
     def resident_bytes(self) -> int:
         """Approximate bytes held resident by this compiled program.
 
         Sums the distinct numpy arrays the program owns: the kernel
-        tables, both arena schedules and the end-point indices.
+        tables, its arena schedule included, and the end-point slots.
         Execution arenas and scratch are allocated per :meth:`execute`
         call and are *not* counted — this is the steady-state cost of
         keeping the artifact warm, which the service's artifact registry
         reports for eviction accounting.
         """
-        values: List[object] = [self._end_cols, self._end_slots]
-        values.extend(self._tables.values())
-        for index in self._arena_index.values():
-            values.extend(index.values())
+        values: List[object] = [self._end_slots, *self._tables.values()]
         arrays = {
             id(value): value
             for value in values
@@ -375,11 +356,9 @@ class CompiledTimingProgram:
         ] = None,
         field_rows: Optional[np.ndarray] = None,
         row_map: Optional[RowMap] = None,
-        lane_offset: int = 0,
         r_scales: Optional[np.ndarray] = None,
         c_scales: Optional[np.ndarray] = None,
         input_slew_ps: float,
-        keep_all_arrivals: bool = False,
         native_threads: Optional[int] = None,
     ) -> Optional[CompiledRunOutput]:
         """Run the compiled program for ``num_samples`` MC samples.
@@ -395,14 +374,13 @@ class CompiledTimingProgram:
             matrix and its per-gate sensitivity weight column — whose
             products accumulate into the rank-one projection ``u = wᵀp``
             block by block.
-        field_rows / row_map / lane_offset:
-            Factored samples' C-ordered ``(rows, N')`` field rows, built
+        field_rows / row_map:
+            Factored samples' C-ordered ``(rows, N)`` field rows, built
             once per sample set, and the
             :class:`~repro.field.sampling.RowMap` the kernel forms each
-            gate's ``u`` with; this run reads lanes ``[lane_offset,
-            lane_offset + num_samples)`` of every row in place.  Pass at
-            most one of ``parameter_products`` and ``field_rows``;
-            neither runs a nominal analysis.
+            gate's ``u`` with; each block reads its own lanes of every
+            row in place.  Pass at most one of ``parameter_products``
+            and ``field_rows``; neither runs a nominal analysis.
         r_scales / c_scales:
             Optional ``(N, num_nets)`` wire R/C scale matrices in
             ``net_order`` column order (already validated by the engine).
@@ -410,9 +388,6 @@ class CompiledTimingProgram:
             copied once.
         input_slew_ps:
             Slew applied at primary inputs.
-        keep_all_arrivals:
-            Use the identity (net-indexed) arena so every net's arrival
-            survives to the result.
         native_threads:
             Worker count for the native kernel; ``None`` defers to
             ``REPRO_NATIVE_THREADS``.  Results are bitwise identical for
@@ -425,16 +400,15 @@ class CompiledTimingProgram:
         ``6 × B`` scratch block; per-lane arithmetic is identical under
         every partition.  The arguments are checked against
         :data:`~repro.timing.native.KERNEL_ARGS` once here, and per
-        block only ``num_rows``, ``u``, the scale rows and the lane
-        offset.
+        block only ``num_rows``, ``u``, the scale rows and the block's
+        first lane, its lane offset into the field rows.
         """
         kernel = native.load_kernel()
         self.last_run_native = kernel is not None
         if kernel is None:
             return None
-        keep_all = bool(keep_all_arrivals)
         threads = native.resolve_thread_count(native_threads)
-        width = self.num_nets if keep_all else self.num_slots
+        width = self.num_slots
         if field_rows is None:
             rows_args = _NO_FIELD_ROWS
         elif row_map is None:
@@ -460,7 +434,6 @@ class CompiledTimingProgram:
             num_nets=self.num_nets,
             input_slew=float(input_slew_ps),
             **self._tables,
-            **self._arena_index[keep_all],
             arena_a=arena_a,
             arena_s=arena_s,
             scratch=kscratch,
@@ -474,9 +447,7 @@ class CompiledTimingProgram:
         if parameter_products and field_rows is None:
             u_buffer = np.empty((block, self.num_model_gates))
             tmp_buffer = np.empty((block, self.num_model_gates))
-        worst_idx = self._end_cols if keep_all else self._end_slots
-        out_names = self.net_order if keep_all else self._end_names
-        end_out = np.empty((len(out_names), num_samples))
+        end_out = np.empty((len(self._end_names), num_samples))
         worst = np.empty(num_samples)
 
         for start in range(0, num_samples, block):
@@ -496,19 +467,19 @@ class CompiledTimingProgram:
                 rows,
                 u,
                 *(None if m is None else m[start:stop] for m in scales),
-                lane_offset=0 if field_rows is None else lane_offset + start,
+                lane_offset=0 if field_rows is None else start,
             )
             arrivals = arena_a[: width * rows].reshape(width, rows)
-            ends = arrivals[worst_idx]
-            if worst_idx.size:
+            ends = arrivals[self._end_slots]
+            if self._end_slots.size:
                 np.max(ends, axis=0, out=worst[start:stop])
             else:
                 worst[start:stop] = -np.inf
-            end_out[:, start:stop] = arrivals if keep_all else ends
+            end_out[:, start:stop] = ends
 
         return CompiledRunOutput(
             end_arrivals={
-                net: end_out[i] for i, net in enumerate(out_names)
+                net: end_out[i] for i, net in enumerate(self._end_names)
             },
             worst_delay=worst,
             num_samples=num_samples,

@@ -25,9 +25,11 @@ identical results to floating-point round-off.
 
 Memory: net arrays are released as soon as their last sink gate has
 consumed them, so peak memory scales with the circuit's level width rather
-than its size.  ``run(chunk_size=...)`` additionally streams the sample
-axis in bounded chunks, so paper-scale ``N = 100K`` runs never hold all
-``N × N_g`` intermediates at once.
+than its size, and the native kernel runs the sample axis in cache-sized
+blocks.  A run times the samples it is handed; streaming belongs to the
+flows: ``MonteCarloSSTA.run_kle``/``run_reference`` with ``chunk_size=``
+generate and time one chunk at a time, so paper-scale ``N = 100K`` runs
+never hold all ``N × N_g`` samples at once.
 """
 
 from __future__ import annotations
@@ -113,27 +115,14 @@ class _SampleInput:
 
     ``products`` pairs each ``(N, N_g)`` parameter matrix with its
     per-gate weight column (plain mappings, projected per block);
-    ``field_rows`` are factored samples' ``(rows, N')`` field rows,
-    read through ``row_map`` from lane ``lane_offset`` on.  Neither: a
-    nominal run.
+    ``field_rows`` are factored samples' ``(rows, N)`` field rows, read
+    through ``row_map``.  Neither: a nominal run.
     """
 
     num_samples: int
     products: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
     field_rows: Optional[np.ndarray] = None
     row_map: Optional[RowMap] = None
-    lane_offset: int = 0
-
-    def rows(self, start: int, stop: int) -> "_SampleInput":
-        """The samples ``[start, stop)``: sliced matrices, or the same
-        field rows from a later lane."""
-        return _SampleInput(
-            stop - start,
-            tuple((matrix[start:stop], w) for matrix, w in self.products),
-            self.field_rows,
-            self.row_map,
-            self.lane_offset + start,
-        )
 
 
 class STAEngine:
@@ -282,10 +271,7 @@ class STAEngine:
         parameter_samples: Optional[Mapping[str, np.ndarray]] = None,
         *,
         wire_scales: Optional[Mapping[str, np.ndarray]] = None,
-        input_slew_ps: Optional[float] = None,
-        keep_all_arrivals: bool = False,
         engine: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         native_threads: Optional[int] = None,
     ) -> STAResult:
         """Time the circuit for all samples at once.
@@ -303,7 +289,8 @@ class STAEngine:
             per-gate weights, which is built on the basis's first run
             and kept; their per-parameter fields and ``u`` are never
             built.  Plain mappings are projected block by block.
-            ``None`` runs a nominal (deterministic, N = 1) analysis.
+            ``None`` runs a nominal (deterministic) analysis: one sample,
+            or one per wire-scale row.
         wire_scales:
             Optional interconnect-variation extension: mapping with keys
             ``"R"`` and/or ``"C"`` to ``(N, num_nets)`` *multiplicative
@@ -313,27 +300,19 @@ class STAEngine:
             scale accordingly; device pin caps do not.  The paper varies
             only gate parameters — this extension exploits the method's
             parameter-agnosticism ("no restriction imposed by our
-            technique").
-        input_slew_ps:
-            Slew applied at primary inputs (default: technology value).
-        keep_all_arrivals:
-            Keep every net's arrival array (disables memory reclamation);
-            the result's ``end_arrivals`` then contains all nets.
+            technique").  A nominal run takes one sample per scale
+            row; any other run needs one scale row per sample.
         engine:
             Per-call override of the engine mode (``"compiled"`` or
             ``"reference"``); defaults to the constructor's choice.
-        chunk_size:
-            Stream the sample axis in chunks of at most this many rows:
-            intermediate arenas and temporaries are bounded by
-            ``chunk_size × level_width`` instead of ``N × level_width``,
-            and per-chunk results are concatenated.  Factored samples'
-            field rows are built once and each chunk reads its own
-            lanes of them.  Results are identical to an unchunked run.
         native_threads:
             Per-call override of the native kernel's worker count
             (``None`` → the engine's :attr:`native_threads`, then
             ``REPRO_NATIVE_THREADS``).  Results are bitwise identical
             for every thread count — only wall-clock changes.
+
+        The primary-input slew is the library's
+        ``technology.default_input_slew_ps``.
         """
         if engine is None:
             engine = self.engine
@@ -343,82 +322,13 @@ class STAEngine:
             raise ValueError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
             )
-        if chunk_size is not None:
-            chunk_size = int(chunk_size)
-            if chunk_size < 1:
-                raise ValueError(
-                    f"chunk_size must be >= 1, got {chunk_size}"
-                )
         samples = self._sample_input(parameter_samples)
-        wire, num_samples = self._validate_wire_scales(
-            wire_scales, samples.num_samples
-        )
-        if input_slew_ps is None:
-            input_slew_ps = self.library.technology.default_input_slew_ps
-        if chunk_size is None or num_samples <= chunk_size:
-            return self._run_pass(
-                engine,
-                samples,
-                wire,
-                num_samples,
-                input_slew_ps=float(input_slew_ps),
-                keep_all_arrivals=keep_all_arrivals,
-                native_threads=native_threads,
-            )
-        worst_parts: List[np.ndarray] = []
-        end_parts: Dict[str, List[np.ndarray]] = {}
-        for start in range(0, num_samples, chunk_size):
-            stop = min(start + chunk_size, num_samples)
-            part = self._run_pass(
-                engine,
-                samples.rows(start, stop),
-                {key: value[start:stop] for key, value in wire.items()}
-                if wire
-                else None,
-                stop - start,
-                input_slew_ps=float(input_slew_ps),
-                keep_all_arrivals=keep_all_arrivals,
-                native_threads=native_threads,
-            )
-            worst_parts.append(part.worst_delay)
-            for net, values in part.end_arrivals.items():
-                end_parts.setdefault(net, []).append(values)
-        return STAResult(
-            end_arrivals={
-                net: np.concatenate(parts) for net, parts in end_parts.items()
-            },
-            worst_delay=np.concatenate(worst_parts),
-            num_samples=num_samples,
-        )
-
-    def _run_pass(
-        self,
-        engine: str,
-        samples: _SampleInput,
-        wire_scales: Optional[Dict[str, np.ndarray]],
-        num_samples: int,
-        *,
-        input_slew_ps: float,
-        keep_all_arrivals: bool,
-        native_threads: Optional[int],
-    ) -> STAResult:
-        """One unchunked pass of the selected engine."""
+        wire, num_samples = self._validate_wire_scales(wire_scales, samples)
         if engine == "compiled":
             return self._run_compiled(
-                samples,
-                wire_scales,
-                num_samples,
-                input_slew_ps=input_slew_ps,
-                keep_all_arrivals=keep_all_arrivals,
-                native_threads=native_threads,
+                samples, wire, num_samples, native_threads=native_threads
             )
-        return self._run_reference(
-            samples,
-            wire_scales,
-            num_samples,
-            input_slew_ps=input_slew_ps,
-            keep_all_arrivals=keep_all_arrivals,
-        )
+        return self._run_reference(samples, wire, num_samples)
 
     def _run_compiled(
         self,
@@ -426,8 +336,6 @@ class STAEngine:
         wire_scales: Optional[Dict[str, np.ndarray]],
         num_samples: int,
         *,
-        input_slew_ps: float,
-        keep_all_arrivals: bool,
         native_threads: Optional[int],
     ) -> STAResult:
         """One pass of the compiled program, or of the reference loop
@@ -437,21 +345,13 @@ class STAEngine:
             parameter_products=samples.products or None,
             field_rows=samples.field_rows,
             row_map=samples.row_map,
-            lane_offset=samples.lane_offset,
             r_scales=wire_scales.get("R") if wire_scales else None,
             c_scales=wire_scales.get("C") if wire_scales else None,
-            input_slew_ps=input_slew_ps,
-            keep_all_arrivals=keep_all_arrivals,
+            input_slew_ps=self.library.technology.default_input_slew_ps,
             native_threads=native_threads,
         )
         if output is None:
-            return self._run_reference(
-                samples,
-                wire_scales,
-                num_samples,
-                input_slew_ps=input_slew_ps,
-                keep_all_arrivals=keep_all_arrivals,
-            )
+            return self._run_reference(samples, wire_scales, num_samples)
         return STAResult(
             end_arrivals=output.end_arrivals,
             worst_delay=output.worst_delay,
@@ -463,12 +363,10 @@ class STAEngine:
         samples: _SampleInput,
         wire_scales: Optional[Dict[str, np.ndarray]],
         num_samples: int,
-        *,
-        input_slew_ps: float,
-        keep_all_arrivals: bool,
     ) -> STAResult:
         """The original per-gate Python traversal (differential baseline)."""
-        _, u_by_gate = self._statistical_projection(samples)
+        u_by_gate = self._statistical_projection(samples)
+        input_slew_ps = float(self.library.technology.default_input_slew_ps)
         net_col = (
             {net: i for i, net in enumerate(self.net_order())}
             if wire_scales
@@ -500,7 +398,7 @@ class STAEngine:
         zero = np.zeros(num_samples)
         for net in self.netlist.primary_inputs:
             arrival[net] = zero.copy()
-            slew[net] = np.full(num_samples, float(input_slew_ps))
+            slew[net] = np.full(num_samples, input_slew_ps)
         for dff in self.netlist.sequential_gates():
             model = self._models[dff.name]
             load = net_load(dff.output)
@@ -546,21 +444,17 @@ class STAEngine:
                     take = candidate > best_arrival
                     best_arrival = np.where(take, candidate, best_arrival)
                     best_slew = np.where(take, gate_slew, best_slew)
-                if not keep_all_arrivals:
-                    pins_left[net] -= 1
-                    if pins_left[net] == 0 and net not in end_nets:
-                        arrival.pop(net, None)
-                        slew.pop(net, None)
+                pins_left[net] -= 1
+                if pins_left[net] == 0 and net not in end_nets:
+                    arrival.pop(net, None)
+                    slew.pop(net, None)
             assert best_arrival is not None and best_slew is not None
             arrival[gate.output] = best_arrival
             slew[gate.output] = best_slew
 
-        if keep_all_arrivals:
-            end_arrivals = dict(arrival)
-        else:
-            end_arrivals = {
-                net: arrival[net] for net in end_nets if net in arrival
-            }
+        end_arrivals = {
+            net: arrival[net] for net in end_nets if net in arrival
+        }
         worst = np.full(num_samples, -np.inf)
         for net in self.levelized.end_nets:
             if net in end_arrivals:
@@ -633,55 +527,39 @@ class STAEngine:
                 self._row_maps[basis] = row_map
         return row_map
 
+    @staticmethod
     def _statistical_projection(
-        self,
-        samples: Union[_SampleInput, Mapping[str, np.ndarray], None],
-    ) -> Tuple[int, Callable[[int], np.ndarray]]:
-        """Return ``(N, u_by_gate)`` where ``u_by_gate(g)`` is the rank-one
-        projection ``u = wᵀ p`` for gate ``g`` over all samples."""
-        if not isinstance(samples, _SampleInput):
-            samples = self._sample_input(samples)
-        num_samples = samples.num_samples
+        samples: _SampleInput,
+    ) -> Callable[[int], np.ndarray]:
+        """``u_by_gate(g)``: the rank-one projection ``u = wᵀ p`` of gate
+        ``g`` over all samples, ``Σ_j w_j[g] · p_j[:, g]`` for plain
+        matrices."""
         if samples.field_rows is not None:
             assert samples.row_map is not None
-            return num_samples, _row_reader(
-                samples.field_rows,
-                samples.row_map,
-                slice(samples.lane_offset, samples.lane_offset + num_samples),
-            )
+            return _row_reader(samples.field_rows, samples.row_map)
         if not samples.products:
-            return 1, lambda gate_index: np.zeros(1)
-        num_gates = self.netlist.num_gates
+            return lambda gate_index: np.zeros(1)
+        num_samples, products = samples.num_samples, samples.products
 
-        # Fast path: precompute U = Σ_j w_j(gate) · p_j as one (N, Ng)
-        # array so the hot loop only gathers columns.  Falls back to lazy
-        # per-gate evaluation when the array would be too large.
-        if num_samples * num_gates * 8 <= 512 * 1024 * 1024:
-            u_matrix = np.zeros((num_samples, num_gates))
-            for matrix, weights in samples.products:
-                u_matrix += matrix * weights[None, :]
-
-            def u_by_gate(gate_index: int) -> np.ndarray:
-                return u_matrix[:, gate_index]
-
-            return num_samples, u_by_gate
-
-        products = samples.products
-
-        def lazy_u_by_gate(gate_index: int) -> np.ndarray:
+        def u_by_gate(gate_index: int) -> np.ndarray:
             u = np.zeros(num_samples)
             for matrix, weights in products:
                 u += weights[gate_index] * matrix[:, gate_index]
             return u
 
-        return num_samples, lazy_u_by_gate
+        return u_by_gate
 
     def _validate_wire_scales(
         self,
         wire_scales: Optional[Mapping[str, np.ndarray]],
-        num_samples: int,
+        samples: _SampleInput,
     ) -> Tuple[Optional[Dict[str, np.ndarray]], int]:
-        """Check wire-scale shapes/keys; reconcile the sample count."""
+        """Check wire-scale shapes/keys; reconcile the sample count.
+
+        A nominal run takes its sample count from the scales; any other
+        run's scale rows must match its samples.
+        """
+        num_samples = samples.num_samples
         if not wire_scales:
             return None, num_samples
         num_nets = len(self.netlist.nets)
@@ -707,7 +585,7 @@ class STAEngine:
         if len(wire_n) != 1:
             raise ValueError("all wire_scales matrices must share N")
         wire_num = wire_n.pop()
-        if num_samples == 1:
+        if samples.field_rows is None and not samples.products:
             return validated, wire_num
         if wire_num != num_samples:
             raise ValueError(
@@ -732,16 +610,16 @@ class STAEngine:
 
 
 def _row_reader(
-    field_rows: np.ndarray, row_map: RowMap, lanes: slice
+    field_rows: np.ndarray, row_map: RowMap
 ) -> Callable[[int], np.ndarray]:
     """Per-gate ``u`` from field rows: ``Σ_k weight[k, g] · R[index[k, g]]``
-    over ``lanes``, for k = 0 … P−1 in the kernel's order."""
+    for k = 0 … P−1 in the kernel's order."""
     index, weight = row_map.index, row_map.weight
 
     def u_by_gate(gate_index: int) -> np.ndarray:
-        u = weight[0, gate_index] * field_rows[index[0, gate_index], lanes]
+        u = weight[0, gate_index] * field_rows[index[0, gate_index]]
         for k in range(1, index.shape[0]):
-            u += weight[k, gate_index] * field_rows[index[k, gate_index], lanes]
+            u += weight[k, gate_index] * field_rows[index[k, gate_index]]
         return u
 
     return u_by_gate

@@ -17,8 +17,8 @@ design has to keep, on both forms:
   ``(ξ_j D_λ,jᵀ)[:, tri]`` arithmetic, C ⊗ K mix included;
 - a request's lanes of a batched sweep's field rows are exactly its own
   serial rows, and so are its worst delays;
-- chunking moves the lane offset into the rows, never re-draws ξ, so
-  chunked runs are bitwise unchunked;
+- the kernel's blocks move their lane offset along the rows, so a run
+  in small blocks is bitwise one in a single block;
 - factored and materialized inputs agree to ``rtol=1e-12`` on every
   engine, and the native kernel is bitwise across thread counts;
 - an engine builds a basis's row map once;
@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro.timing.compiled as compiled
 from repro.core.galerkin import solve_kle
 from repro.field.sampling import (
     FieldSamples,
@@ -323,25 +324,24 @@ def test_concurrent_first_runs_build_the_row_map_once(
         assert np.array_equal(result.worst_delay, serial.worst_delay)
 
 
-def test_triangle_form_keeps_the_bitwise_contracts(triangle_harness):
-    """``generate`` + ``run`` is ``run_kle``, chunked is unchunked, and
-    two kernel threads are one, all on the triangle form."""
+def test_triangle_form_keeps_the_bitwise_contracts(
+    triangle_harness, monkeypatch
+):
+    """``generate`` + ``run`` is ``run_kle``, 32-lane kernel blocks are
+    one block, and two kernel threads are one, all on the triangle form."""
     harness = triangle_harness
     public = harness.run_kle(150, seed=12).sta
     samples = harness.kle_generator.generate(
         harness.gate_locations, 150, seed=12
     ).samples
-    runs = [
-        harness.engine.run(samples),
-        harness.engine.run(samples, chunk_size=37),
-        harness.engine.run(samples, engine="reference", chunk_size=64),
-    ]
+    reference = harness.engine.run(samples, engine="reference")
+    runs = [harness.engine.run(samples)]
     if native.load_kernel() is not None:
         runs.append(harness.engine.run(samples, native_threads=2))
-        runs.append(
-            harness.engine.run(samples, native_threads=2, chunk_size=7)
-        )
-    reference = runs.pop(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+            runs.append(harness.engine.run(samples, native_threads=1))
+            runs.append(harness.engine.run(samples, native_threads=2))
     for run in runs:
         assert np.array_equal(run.worst_delay, public.worst_delay)
         for net, values in public.end_arrivals.items():
@@ -358,8 +358,6 @@ def test_triangle_form_run_kle_allocates_no_gate_sized_array(
     array — neither ``u`` nor a field — is ever allocated."""
     if native.load_kernel() is None:
         pytest.skip("native kernel unavailable")
-    import repro.timing.compiled as compiled
-
     # Cache-sized blocks keep the arenas small next to an (N, N_g) array.
     monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
     harness = triangle_harness
@@ -383,24 +381,6 @@ def test_stacking_needs_one_basis(harness, gaussian_kle):
         FieldSamples.concatenate([one.samples, other.samples])
     with pytest.raises(ValueError, match="one basis"):
         FieldSamples.concatenate([one.samples, dict(one.samples)])
-
-
-@pytest.mark.parametrize(
-    "engine_mode, chunk_sizes",
-    [("compiled", (1, 7, 64, 149)), ("reference", (37, 149))],
-)
-def test_chunking_slices_u_not_xi(harness, engine_mode, chunk_sizes):
-    samples = harness.kle_generator.generate(
-        harness.gate_locations, 150, seed=12
-    ).samples
-    whole = harness.engine.run(samples, engine=engine_mode)
-    for chunk_size in chunk_sizes:
-        chunked = harness.engine.run(
-            samples, engine=engine_mode, chunk_size=chunk_size
-        )
-        assert np.array_equal(chunked.worst_delay, whole.worst_delay)
-        for net, values in whole.end_arrivals.items():
-            assert np.array_equal(chunked.end_arrivals[net], values)
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["independent", "cxk"])
@@ -440,9 +420,14 @@ def test_factored_matches_materialized_on_every_engine(
     assert engine.program.last_run_native is True
     close(one)
     two = engine.run(samples, engine="compiled", native_threads=2)
-    assert np.array_equal(one.worst_delay, two.worst_delay)
-    for net, values in one.end_arrivals.items():
-        assert np.array_equal(two.end_arrivals[net], values)
+    with monkeypatch.context() as patch:
+        # 32-lane blocks, each reading its own lanes of the field rows.
+        patch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+        blocked = engine.run(samples, engine="compiled", native_threads=1)
+    for run in (two, blocked):
+        assert np.array_equal(one.worst_delay, run.worst_delay)
+        for net, values in one.end_arrivals.items():
+            assert np.array_equal(run.end_arrivals[net], values)
 
 
 def test_basis_rows_and_weights_give_blockwise_sensitivity(

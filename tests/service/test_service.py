@@ -202,6 +202,21 @@ class TestResultStream:
         assert "failed to drain" in (stream.cancel_reason or "")
 
 
+def _factor_and_basis_bytes(harness):
+    """One ``N_g × N_g`` Cholesky factor (all four parameters share the
+    kernel) plus the gate basis: ``D_λ``, the gate triangles and the
+    ``(N_g, r)`` gate rows, which the four parameters share."""
+    num_gates = harness.netlist.num_gates
+    (parameter, *others) = harness.kle_generator._basis.parameters
+    assert all(other.rows is parameter.rows for other in others)
+    return (
+        8 * num_gates**2
+        + parameter.d_lambda.nbytes
+        + parameter.triangles.nbytes
+        + parameter.rows.nbytes
+    )
+
+
 class TestResidency:
     def test_stats_track_hits_misses_and_resident_bytes(self):
         service = SSTAService(tiny_config())
@@ -228,7 +243,9 @@ class TestResidency:
             assert stats["kernel_threads"] == 2
             # resident_bytes must account the per-thread native scratch a
             # sweep allocates at the pinned lane count, on top of the
-            # program's arenas and the resident KLE eigenpair arrays.
+            # program's arenas, the resident KLE eigenpair arrays and the
+            # warm harness's factor and basis (no request has built a row
+            # map yet).
             program = harness.engine.program
             kle = next(iter(harness.kles.values()))
             assert stats["resident_bytes"] == (
@@ -236,8 +253,36 @@ class TestResidency:
                 + program.native_scratch_bytes(2)
                 + kle.eigenvalues.nbytes
                 + kle.d_vectors.nbytes
+                + _factor_and_basis_bytes(harness)
             )
             assert program.native_scratch_bytes(2) > 0
+
+    def test_resident_bytes_count_the_factor_basis_and_row_maps(self):
+        """A warm harness's Cholesky factor, gate basis and the row map
+        its first KLE request builds are resident; a repeat adds none."""
+        service = SSTAService(tiny_config())
+        with service:
+            harness = service.warm_up("c880")
+            client = ServiceClient(service)
+            request = AnalysisRequest(circuit="c880", num_samples=64, seed=5)
+            assert client.analyze(request, timeout_s=60.0).ok
+            first = service.registry.resident_bytes()
+            program = harness.engine.program
+            kle = next(iter(harness.kles.values()))
+            row_map = harness.engine._row_map(harness.kle_generator._basis)
+            row_map_bytes = sum(
+                factor.nbytes for _, _, factor in row_map.factors
+            ) + row_map.index.nbytes + row_map.weight.nbytes
+            assert first >= (
+                program.resident_bytes()
+                + program.native_scratch_bytes(service.registry.kernel_threads())
+                + kle.eigenvalues.nbytes
+                + kle.d_vectors.nbytes
+                + _factor_and_basis_bytes(harness)
+                + row_map_bytes
+            )
+            assert client.analyze(request, timeout_s=60.0).ok
+            assert service.registry.resident_bytes() == first
 
     def test_randomized_kle_method_reaches_residency(self, monkeypatch):
         import numpy as np

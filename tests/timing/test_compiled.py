@@ -2,24 +2,24 @@
 
 The compiled engine (the native kernel) must reproduce the reference
 engine to floating-point reassociation error — ``rtol=1e-12`` — across
-circuits, analysis modes (nominal, statistical, wire R/C,
-``keep_all_arrivals``, DFF-sourced nets) and sample chunkings, and
-chunked compiled runs must be *bitwise* identical to unchunked ones.
-Without the kernel, ``engine="compiled"`` runs the reference loop.
+circuits and analysis modes (nominal, statistical, wire R/C,
+DFF-sourced nets), and its runs must be *bitwise* identical whatever
+size of blocks the kernel cuts the sample axis into.  Without the
+kernel, ``engine="compiled"`` runs the reference loop.
 """
-
-import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.timing.compiled as compiled
 from repro.circuit.benchmarks import load_circuit
 from repro.experiments.table1 import default_table1_circuits
+from repro.field.sampling import FieldSamples, gate_basis
 from repro.place.placer import place_netlist
 from repro.timing import native
 from repro.timing.library import STATISTICAL_PARAMETERS
-from repro.timing.sta import STAEngine
+from repro.timing.ssta import MonteCarloSSTA
+from repro.timing.sta import ENGINE_MODES, STAEngine
 
 DIE = (-1.0, -1.0, 1.0, 1.0)
 
@@ -84,8 +84,7 @@ def test_compiled_matches_reference_all_circuits(engines, circuit):
 # combinational — together they cover both arena initialization paths.
 @pytest.mark.parametrize("circuit", ["c880", "s5378"])
 @pytest.mark.parametrize(
-    "mode",
-    ["nominal", "statistical", "keep_all", "wire_r", "wire_c", "wire_rc"],
+    "mode", ["nominal", "statistical", "wire_r", "wire_c", "wire_rc"]
 )
 def test_compiled_matches_reference_modes(engines, circuit, mode):
     engine = engines(circuit)
@@ -96,32 +95,33 @@ def test_compiled_matches_reference_modes(engines, circuit, mode):
         num_samples = 1
     else:
         samples = _samples(engine.netlist, num_samples)
-    if mode == "keep_all":
-        kwargs["keep_all_arrivals"] = True
     if mode.startswith("wire_"):
         keys = {"wire_r": ("R",), "wire_c": ("C",), "wire_rc": ("R", "C")}
         kwargs["wire_scales"] = _wire_scales(
             engine, num_samples, keys[mode]
         )
     reference = engine.run(samples, engine="reference", **kwargs)
-    compiled = engine.run(samples, engine="compiled", **kwargs)
-    _assert_matches(compiled, reference)
-    if mode == "keep_all":
-        # Every net must survive, not just the end points.
-        assert set(compiled.end_arrivals) == set(engine.net_order())
+    compiled_run = engine.run(samples, engine="compiled", **kwargs)
+    _assert_matches(compiled_run, reference)
 
 
 @pytest.mark.parametrize("wire", [False, True])
-def test_chunked_is_bitwise_identical(engines, wire):
+def test_chunked_is_bitwise_identical(engines, monkeypatch, wire):
+    """The kernel's 32-lane blocks give one whole block's bits."""
+    if native.load_kernel() is None:
+        pytest.skip("native kernel unavailable")
     engine = engines("s5378")
     samples = _samples(engine.netlist, 100)
-    kwargs = {}
+    kwargs = {"engine": "compiled", "native_threads": 1}
     if wire:
         kwargs["wire_scales"] = _wire_scales(engine, 100, ("R", "C"))
-    full = engine.run(samples, engine="compiled", **kwargs)
-    chunked = engine.run(
-        samples, engine="compiled", chunk_size=33, **kwargs
-    )
+    full = engine.run(samples, **kwargs)
+    program = engine.program
+    assert program._native_block_size(100, program.num_slots) == 100
+    with monkeypatch.context() as patch:
+        patch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+        assert program._native_block_size(100, program.num_slots) == 32
+        chunked = engine.run(samples, **kwargs)
     assert np.array_equal(full.worst_delay, chunked.worst_delay)
     for net, values in full.end_arrivals.items():
         assert np.array_equal(values, chunked.end_arrivals[net])
@@ -130,6 +130,7 @@ def test_chunked_is_bitwise_identical(engines, wire):
         fortran = engine.run(
             samples,
             engine="compiled",
+            native_threads=1,
             wire_scales={
                 key: np.asfortranarray(m)
                 for key, m in kwargs["wire_scales"].items()
@@ -138,13 +139,61 @@ def test_chunked_is_bitwise_identical(engines, wire):
         assert np.array_equal(full.worst_delay, fortran.worst_delay)
 
 
-def test_chunked_reference_matches(engines):
-    """chunk_size composes with the reference engine too."""
+def test_chunked_reference_matches(
+    c880, c880_placement, gaussian_kernel, gaussian_kle
+):
+    """A chunked flow on the reference engine times the chunks the
+    compiled engine times, to ``rtol=1e-12``."""
+    runs = [
+        MonteCarloSSTA(
+            c880, c880_placement, gaussian_kernel, gaussian_kle, r=10,
+            engine=mode,
+        ).run_kle(60, seed=4, chunk_size=25).sta
+        for mode in ("reference", "compiled")
+    ]
+    reference, compiled_run = runs
+    assert reference.num_samples == compiled_run.num_samples == 60
+    np.testing.assert_allclose(
+        compiled_run.mean_worst_delay(), reference.mean_worst_delay(),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(
+        compiled_run.std_worst_delay(), reference.std_worst_delay(),
+        rtol=1e-12,
+    )
+
+
+def test_nominal_run_broadcasts_to_every_wire_row(engines):
+    """Nominal parameters take one sample per wire-scale row, on both
+    engines and past one native block."""
     engine = engines("c880")
-    samples = _samples(engine.netlist, 60)
-    full = engine.run(samples, engine="reference")
-    chunked = engine.run(samples, engine="reference", chunk_size=25)
-    assert np.array_equal(full.worst_delay, chunked.worst_delay)
+    wire_scales = _wire_scales(engine, 5000, ("R", "C"))
+    program = engine.program
+    assert program._native_block_size(5000, program.num_slots) < 5000
+    reference = engine.run(None, engine="reference", wire_scales=wire_scales)
+    compiled_run = engine.run(None, engine="compiled", wire_scales=wire_scales)
+    assert reference.num_samples == compiled_run.num_samples == 5000
+    _assert_matches(compiled_run, reference)
+
+
+@pytest.mark.parametrize("form", ["dict", "factored"])
+def test_one_sample_parameters_do_not_broadcast_to_wire_rows(
+    engines, gaussian_kle, form
+):
+    engine = engines("c880")
+    if form == "dict":
+        samples = _samples(engine.netlist, 1)
+    else:
+        basis = gate_basis(
+            {name: gaussian_kle for name in STATISTICAL_PARAMETERS},
+            {name: 10 for name in STATISTICAL_PARAMETERS},
+            engine.placement.gate_locations(),
+        )
+        samples = FieldSamples(basis, [np.zeros((1, basis.dimension))])
+    wire_scales = _wire_scales(engine, 5000, ("R",))
+    for mode in ENGINE_MODES:
+        with pytest.raises(ValueError, match="must match parameter sample"):
+            engine.run(samples, engine=mode, wire_scales=wire_scales)
 
 
 @pytest.mark.parametrize("wire", [False, True])
@@ -173,37 +222,6 @@ def test_no_native_runs_the_reference_loop(engines, monkeypatch, wire):
     with_native = engine.run(samples, engine="compiled", **kwargs)
     assert engine.program.last_run_native is True
     _assert_matches(with_native, reference)
-
-
-def test_chunk_size_bounds_peak_memory(engines, monkeypatch):
-    """Streaming chunks must bound the per-run working set.
-
-    Runs without the kernel, i.e. on the reference loop, whose ``(N,)``
-    per-net arrays and ``(N, N_g)`` projection tracemalloc sees (the
-    kernel's arenas are bounded by its sample block already), and
-    compares the traced allocation peak of a chunked run against the
-    unchunked one on the same inputs.
-    """
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    engine = engines("c7552")
-    num_samples = 3000
-    samples = _samples(engine.netlist, num_samples)
-
-    def peak_of(**kwargs):
-        tracemalloc.start()
-        result = engine.run(samples, engine="compiled", **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return result, peak
-
-    full, full_peak = peak_of()
-    chunked, chunked_peak = peak_of(chunk_size=100)
-    assert engine.program.last_run_native is False
-    assert np.array_equal(full.worst_delay, chunked.worst_delay)
-    assert chunked_peak < full_peak / 2, (
-        f"chunked peak {chunked_peak / 1e6:.1f} MB not well below "
-        f"unchunked {full_peak / 1e6:.1f} MB"
-    )
 
 
 def test_last_run_native_reflects_env(engines, monkeypatch):

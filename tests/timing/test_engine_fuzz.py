@@ -4,17 +4,17 @@ Each case draws a random netlist from :func:`generate_circuit` — from 2
 to ~300 gates, DFF-free or DFF-heavy — and a sample count from
 ``1, B-1, B, B+1`` or a random ``N``, where ``B`` is the native block
 size (shrunk to its 32-lane floor so block boundaries are cheap to
-reach).  The case then runs, with ``keep_all_arrivals`` off and on:
+reach, and each block moves its lane offset along factored samples'
+field rows).  The case then runs:
 
 - the per-gate reference engine (the oracle);
 - the compiled engine without the kernel (``REPRO_NO_NATIVE=1``), which
   must be the reference loop: bitwise equal, ``last_run_native`` False;
-- the compiled engine on the native kernel at 1 and 2 threads, one-shot
-  and chunked.
+- the compiled engine on the native kernel at 1 and 2 threads.
 
 Native results must match the reference to ``rtol=1e-12``, and be
-bitwise equal across thread counts and chunkings.  The master seed is
-fixed, so a failure names a reproducible case.
+bitwise equal across thread counts.  The master seed is fixed, so a
+failure names a reproducible case.
 
 A wire leg runs the same checks with wire R, C and R+C scale matrices,
 some entries at the 0.05 clip floor, on statistical and nominal
@@ -117,49 +117,27 @@ def _fuzz_engine(case):
 def _check_every_engine(engine, samples, monkeypatch, oracle=None, **kwargs):
     """Run ``samples`` through every engine.
 
-    The reference loop and the native runs must match
-    ``oracle(keep_all)`` — by default the reference loop's own run — to
-    ``rtol=1e-12``; the kernel-less compiled run must be the reference
-    run bit for bit, and the native runs bitwise equal to each other.
+    The reference loop and the native runs must match ``oracle`` — by
+    default the reference loop's own run — to ``rtol=1e-12``; the
+    kernel-less compiled run must be the reference run bit for bit, and
+    the native runs at 1 and 2 threads bitwise equal to each other.
     """
     program = engine.program
-    for keep_all in (False, True):
-        reference = engine.run(
-            samples, engine="reference", keep_all_arrivals=keep_all, **kwargs
-        )
-        expected = reference if oracle is None else oracle(keep_all)
-        _assert_close(reference, expected)
-        with monkeypatch.context() as patch:
-            patch.setenv("REPRO_NO_NATIVE", "1")
-            fallback = engine.run(
-                samples,
-                engine="compiled",
-                keep_all_arrivals=keep_all,
-                **kwargs,
-            )
-            assert program.last_run_native is False
-        _assert_bitwise(fallback, reference)
-        if native.load_kernel() is None:
-            continue
-        one = engine.run(
-            samples,
-            engine="compiled",
-            keep_all_arrivals=keep_all,
-            native_threads=1,
-            **kwargs,
-        )
-        assert program.last_run_native is True
-        _assert_close(one, expected)
-        for threads, chunk_size in ((2, None), (1, 7), (2, BLOCK + 1)):
-            run = engine.run(
-                samples,
-                engine="compiled",
-                keep_all_arrivals=keep_all,
-                native_threads=threads,
-                chunk_size=chunk_size,
-                **kwargs,
-            )
-            _assert_bitwise(run, one)
+    reference = engine.run(samples, engine="reference", **kwargs)
+    expected = reference if oracle is None else oracle
+    _assert_close(reference, expected)
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_NATIVE", "1")
+        fallback = engine.run(samples, engine="compiled", **kwargs)
+        assert program.last_run_native is False
+    _assert_bitwise(fallback, reference)
+    if native.load_kernel() is None:
+        return
+    one = engine.run(samples, engine="compiled", native_threads=1, **kwargs)
+    assert program.last_run_native is True
+    _assert_close(one, expected)
+    two = engine.run(samples, engine="compiled", native_threads=2, **kwargs)
+    _assert_bitwise(two, one)
 
 
 def test_cases_cover_the_declared_space():
@@ -384,11 +362,7 @@ def test_factored_samples_agree_with_their_fields(case, monkeypatch):
         assert field.shape == (num_samples, engine.netlist.num_gates)
         assert field.flags.c_contiguous
 
-    def oracle(keep_all):
-        return engine.run(
-            fields, engine="reference", keep_all_arrivals=keep_all
-        )
-
+    oracle = engine.run(fields, engine="reference")
     _check_every_engine(engine, samples, monkeypatch, oracle=oracle)
 
 
@@ -430,26 +404,21 @@ def test_both_row_forms_agree_on_one_basis(case, monkeypatch):
         for form, row_map in maps.items()
     }
     u = {
-        form: engine._statistical_projection(sample_input)[1]
+        form: engine._statistical_projection(sample_input)
         for form, sample_input in inputs.items()
     }
     for gate in range(engine.netlist.num_gates):
         np.testing.assert_allclose(
             u["triangle"](gate), u["gate"](gate), rtol=1e-12, atol=1e-15
         )
-    runs = {
-        (form, mode): engine._run_pass(
-            mode,
-            sample_input,
-            None,
-            num_samples,
-            input_slew_ps=engine.library.technology.default_input_slew_ps,
-            keep_all_arrivals=False,
-            native_threads=1,
+    runs = {}
+    for form, sample_input in inputs.items():
+        runs[form, "reference"] = engine._run_reference(
+            sample_input, None, num_samples
         )
-        for form, sample_input in inputs.items()
-        for mode in ("reference", "compiled")
-    }
+        runs[form, "compiled"] = engine._run_compiled(
+            sample_input, None, num_samples, native_threads=1
+        )
     base = runs["gate", "reference"]
     for run in runs.values():
         _assert_close(run, base)

@@ -337,25 +337,23 @@ def test_factored_run_passes_field_rows_and_lane_offsets(
     placed, fake, num_triangles, form
 ):
     """Factored samples reach the kernel as one set of field rows, bound
-    once, with each block's lanes as its offset and no dense ``u``."""
+    once, with each block's first lane as its offset and no dense ``u``."""
     engine = STAEngine(*placed)
     samples = _factored(engine.netlist, num_triangles)
     assert samples.basis.row_form == form
-    engine.run(samples, engine="compiled", chunk_size=50)
+    engine.run(samples, engine="compiled", native_threads=1)
     row_map = engine._row_map(samples.basis)
     block = engine.program._native_block_size(
         NUM_SAMPLES, engine.program.num_slots
     )
-    chunks = ((0, 50), (50, NUM_SAMPLES))
-    starts = [
-        (start + offset, min(block, stop - start - offset))
-        for start, stop in chunks
-        for offset in range(0, stop - start, block)
-    ]
+    assert block < NUM_SAMPLES
     assert [
         (call[_AT["lane_offset"]], call[_AT["num_rows"]])
         for call in fake.calls
-    ] == starts
+    ] == [
+        (start, min(block, NUM_SAMPLES - start))
+        for start in range(0, NUM_SAMPLES, block)
+    ]
     terms = len(STATISTICAL_PARAMETERS) if form == "triangle" else 1
     for call in fake.calls:
         assert call[_AT["u"]] is None
@@ -519,34 +517,34 @@ def test_corrupt_row_map_is_caught(placed, fake, mutation, argument):
 
 
 def test_lanes_past_the_row_stride_are_caught(placed, fake):
-    """A run whose lanes end past the rows fails on its first block."""
+    """A run of more samples than the rows have lanes fails on its first
+    block."""
     engine = STAEngine(*placed)
-    samples = _factored(engine.netlist, 4)
+    num_lanes = 20  # one block
+    samples = _factored(engine.netlist, 4, num_samples=num_lanes)
     row_map = engine._row_map(samples.basis)
     rows = samples.field_rows(row_map)
-    num_samples = 20  # one block
     with pytest.raises(native.KernelArgumentError) as info:
         engine.program.execute(
-            num_samples,
+            num_lanes + 1,
             field_rows=rows,
             row_map=row_map,
-            lane_offset=NUM_SAMPLES - num_samples + 1,
             input_slew_ps=10.0,
             native_threads=1,
         )
     assert info.value.argument == "lane_offset"
     assert fake.calls == [], "kernel entered despite a contract violation"
     engine.program.execute(
-        num_samples,
+        num_lanes,
         field_rows=rows,
         row_map=row_map,
-        lane_offset=NUM_SAMPLES - num_samples,
         input_slew_ps=10.0,
         native_threads=1,
     )
-    assert [call[_AT["lane_offset"]] for call in fake.calls] == [
-        NUM_SAMPLES - num_samples
-    ]
+    assert [
+        (call[_AT["lane_offset"]], call[_AT["num_rows"]])
+        for call in fake.calls
+    ] == [(0, num_lanes)]
 
 
 # ----------------------------------------------------------------------

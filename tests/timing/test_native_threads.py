@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.timing.compiled as compiled
 from repro.circuit.benchmarks import get_spec, load_circuit
 from repro.place.placer import place_netlist
 from repro.timing import native
@@ -179,12 +180,17 @@ class TestBitwiseDeterminism:
         via_env = engine.run(samples, engine="compiled")
         assert np.array_equal(explicit.worst_delay, via_env.worst_delay)
 
-    def test_chunked_threaded_run_is_bitwise(self, engine):
+    def test_chunked_threaded_run_is_bitwise(self, engine, monkeypatch):
+        # 32-lane blocks over 3 workers give one whole block's bits.
         if native.load_kernel() is None:
             pytest.skip("native kernel unavailable")
         samples = _samples(engine, 101)
         base = self._run(engine, samples, 1)
-        chunked = self._run(engine, samples, 3, chunk_size=17)
+        program = engine.program
+        assert program._native_block_size(101, program.num_slots) == 101
+        monkeypatch.setattr(compiled, "NATIVE_BLOCK_BYTE_BUDGET", 1)
+        assert program._native_block_size(101, program.num_slots, 3) == 32
+        chunked = self._run(engine, samples, 3)
         assert np.array_equal(base.worst_delay, chunked.worst_delay)
 
     def test_no_native_falls_back_cleanly(self, engine, monkeypatch):

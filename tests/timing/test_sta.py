@@ -6,7 +6,8 @@ import pytest
 from repro.circuit.generate import generate_circuit
 from repro.circuit.netlist import Gate, Netlist
 from repro.place.placer import Placement, place_netlist
-from repro.timing.library import STATISTICAL_PARAMETERS, CellLibrary
+from repro.timing.analysis import _nominal_pass
+from repro.timing.library import STATISTICAL_PARAMETERS, CellLibrary, Technology
 from repro.timing.sta import STAEngine
 
 DIE = (-1.0, -1.0, 1.0, 1.0)
@@ -58,11 +59,11 @@ def test_chain_delay_increases_with_length():
 
 
 def test_arrival_monotone_along_path(c17_engine, c17):
-    result = c17_engine.run(None, keep_all_arrivals=True)
+    arrival = _nominal_pass(c17_engine).arrival
+    assert set(arrival) == set(c17.nets)
     for gate in c17.gates:
-        out_arrival = float(result.end_arrivals[gate.output][0])
         for net in gate.inputs:
-            assert out_arrival > float(result.end_arrivals[net][0])
+            assert arrival[gate.output] > arrival[net]
 
 
 def test_statistical_run_shapes(c17_engine, c17):
@@ -131,18 +132,19 @@ def test_placement_netlist_mismatch_rejected(c17):
         STAEngine(c17, placement)
 
 
-def test_memory_reclamation_equivalent_to_keep_all(c17_engine):
-    lean = c17_engine.run(None)
-    fat = c17_engine.run(None, keep_all_arrivals=True)
-    for net in lean.end_arrivals:
-        assert np.allclose(lean.end_arrivals[net], fat.end_arrivals[net])
-    assert len(fat.end_arrivals) > len(lean.end_arrivals)
-
-
-def test_input_slew_affects_delay(c17_engine):
-    fast_in = c17_engine.run(None, input_slew_ps=10.0).mean_worst_delay()
-    slow_in = c17_engine.run(None, input_slew_ps=200.0).mean_worst_delay()
-    assert slow_in > fast_in
+def test_input_slew_affects_delay(c17_engine, c17):
+    """The primary-input slew is the technology's, on both engines."""
+    for engine in ("compiled", "reference"):
+        worst = [
+            STAEngine(
+                c17,
+                c17_engine.placement,
+                CellLibrary(Technology(default_input_slew_ps=slew)),
+                engine=engine,
+            ).nominal().mean_worst_delay()
+            for slew in (10.0, 200.0)
+        ]
+        assert worst[1] > worst[0]
 
 
 def test_sequential_circuit_dff_start_points():
@@ -222,51 +224,23 @@ def test_gate_reading_same_net_twice():
     assert ("g1", "g2", 1) in engine._sink_slot
 
 
-def test_large_sample_fallback_path_matches_fast_path(c17):
-    """The lazy per-gate u evaluation must equal the precomputed matrix."""
-    placement = place_netlist(c17, DIE, seed=0)
-    engine = STAEngine(c17, placement)
+def test_large_sample_fallback_path_matches_fast_path(c17_engine, c17):
+    """The reference loop's per-gate ``u = Σ_j w_j[g] · p_j[:, g]`` is
+    bitwise the column of the ``(N, N_g)`` matrix ``Σ_j p_j · w_j``
+    accumulated from zero."""
     rng = np.random.default_rng(8)
     samples = {
         name: rng.standard_normal((16, c17.num_gates))
         for name in STATISTICAL_PARAMETERS
     }
-    fast = engine.run(samples)
-    # Force the fallback by shrinking the fast-path memory budget.
-    import repro.timing.sta as sta_module
-
-    num_samples, u_by_gate = engine._statistical_projection(samples)
-    del num_samples
-    original = sta_module.STAEngine._statistical_projection
-
-    def tiny_budget(self, parameter_samples):
-        if not parameter_samples:
-            return original(self, parameter_samples)
-        # Re-implement with the lazy branch only.
-        names = list(parameter_samples)
-        matrices = [np.asarray(parameter_samples[n], float) for n in names]
-        n = matrices[0].shape[0]
-        param_pos = {
-            name: STATISTICAL_PARAMETERS.index(name) for name in names
-        }
-        models = self._models
-        gates = self.netlist.gates
-
-        def lazy(gate_index):
-            direction = models[gates[gate_index].name].direction
-            u = np.zeros(n)
-            for name, matrix in zip(names, matrices):
-                u += direction[param_pos[name]] * matrix[:, gate_index]
-            return u
-
-        return n, lazy
-
-    sta_module.STAEngine._statistical_projection = tiny_budget
-    try:
-        lazy_result = engine.run(samples)
-    finally:
-        sta_module.STAEngine._statistical_projection = original
-    assert np.allclose(fast.worst_delay, lazy_result.worst_delay)
+    u_by_gate = c17_engine._statistical_projection(
+        c17_engine._sample_input(samples)
+    )
+    matrix = np.zeros((16, c17.num_gates))
+    for name, values in samples.items():
+        matrix += values * c17_engine._packed_models.parameter_weights(name)
+    for gate in range(c17.num_gates):
+        assert np.array_equal(u_by_gate(gate), matrix[:, gate])
 
 
 # ---------------------------------------------------------------------------
